@@ -173,6 +173,9 @@ def _load_zonoids(path):
         data = json.load(fh)
     if isinstance(data, dict):
         return [zonoid.from_json(data)]
+    if not isinstance(data, list) or not data:
+        raise ValueError(f"{path}: expected a zonoid object or a non-empty "
+                         "list of them")
     return [zonoid.from_json(d) for d in data]
 
 

@@ -58,6 +58,37 @@ def bareiss_det(matrix):
     return sign * m[n - 1][n - 1]
 
 
+def int_det(matrix):
+    """Determinant of an integer matrix by Bareiss elimination.
+
+    Every division in the elimination is exact, so the whole computation
+    stays in Python ints and the result is an int.
+    """
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
 def bareiss_solve(matrix, rhs):
     """Solve a square system exactly, via Cramer's rule on Bareiss determinants.
 

@@ -9,6 +9,7 @@ basis indices (0-based).
 from fractions import Fraction
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -18,11 +19,11 @@ COORD_CAP = 10**6
 DEFAULT_RANK_TOL = 1e-9
 
 
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+def dot(a, b):
+    return sum(map(operator.mul, a, b))
 
 
-def _det(rows):
+def det(rows):
     """Determinant, exact when every entry is int/Fraction."""
     if all(is_exact(x) for row in rows for x in row):
         return bareiss_det(rows)
@@ -70,8 +71,8 @@ def wedge_inner(a, b):
         raise ValueError("degree mismatch")
     if a.degree == 0:
         return Fraction(1) if _all_exact(a) and _all_exact(b) else 1.0
-    gram = [[_dot(v, w) for w in b.factors] for v in a.factors]
-    return _det(gram)
+    gram = [[dot(v, w) for w in b.factors] for v in a.factors]
+    return det(gram)
 
 
 def wedge_norm(parts):
@@ -158,7 +159,7 @@ def expand(s):
     coords = {}
     for idx in itertools.combinations(range(n), d):
         minor = [[s.factors[r][i] for i in idx] for r in range(d)]
-        val = _det(minor)
+        val = det(minor)
         if val != 0:
             coords[idx] = val
     return ExteriorElement(n, d, coords)

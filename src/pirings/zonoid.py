@@ -5,15 +5,28 @@ sum_i w_i * (1/2)[-v_i, v_i] plus an optional center, where the v_i are
 simple vectors in an exterior power of R^N.  Support, length, pairing,
 wedge products and the derived volume functionals are all finite sums,
 so they stay exact on rational input.
+
+Products go through one engine.  A body on exact input is brought to
+canonical atoms: primitive integer factor rows (first nonzero entry
+positive) whose contents move into the weight, with equal rows merged.
+A power K^(wedge m) of a body of positive degree is m! times the sum
+over m-subsets of its atoms, because a repeated atom wedges to zero and
+the m! orderings of a subset give the same segment (Shephard 1974,
+McMullen 1971).  So a product K_1^(m_1) ^ ... ^ K_r^(m_r) costs
+prod_k C(#atoms of K_k, m_k) integer determinants.
 """
 
 from fractions import Fraction
+import itertools
 import math
+import sys
 
-from .exact import exact_sqrt, is_exact
+from .exact import exact_sqrt, int_det, is_exact
 from .exterior import (
     ExteriorElement,
     SimpleVector,
+    det,
+    dot,
     expand,
     factorize_simple,
     hodge_star,
@@ -23,7 +36,9 @@ from .exterior import (
 )
 from .sphere_ring import ball_wedge_length, kappa
 
-PRUNE_TOL = 1e-14
+# a float Gram determinant carries an error of a few machine epsilons
+# times the Hadamard bound prod |v_i|^2; below this share it counts as zero
+_GRAM_REL_TOL = 64 * sys.float_info.epsilon
 
 
 class VirtualZonoid:
@@ -107,34 +122,141 @@ def pairing(a, b):
     return total
 
 
-def wedge(zs):
-    """Wedge product of virtual zonoids.
+def _primitive(f):
+    """(row, c) with f = +-c * row, row primitive with first nonzero entry > 0.
 
-    Centered atoms multiply pairwise; the center of the product is the
-    wedge of the centers, scaled so that the represented expectation
-    product comes out right (a zonoid with center c has mean segment
-    expectation 2c).
+    c > 0, except that a zero vector gives (None, 0).
+    """
+    den = math.lcm(*(Fraction(x).denominator for x in f))
+    ints = [Fraction(x).numerator * (den // Fraction(x).denominator) for x in f]
+    g = math.gcd(*ints)
+    if g == 0:
+        return None, 0
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(x // g for x in ints), Fraction(abs(g), den)
+
+
+def _canonical(z):
+    """(exact, den, atoms): the atoms as (W, rows), each standing for W/den * rows.
+
+    An exact body (every weight and coordinate an int or Fraction) gets
+    primitive integer rows, equal rows merged, zero atoms dropped, atoms
+    sorted and int W over one common denominator.  Any other body passes
+    through unchanged with den = 1.
+    """
+    if not all(is_exact(w) and all(is_exact(x) for f in v.factors for x in f)
+               for w, v in z.atoms):
+        return False, 1, tuple((w, v.factors) for w, v in z.atoms)
+    merged = {}
+    for w, v in z.atoms:
+        weight, rows = Fraction(w), []
+        for f in v.factors:
+            row, c = _primitive(f)
+            weight *= c
+            rows.append(row)
+        if weight:
+            rows = tuple(rows)
+            merged[rows] = merged.get(rows, 0) + weight
+    atoms = sorted((rows, w) for rows, w in merged.items() if w)
+    den = math.lcm(*(w.denominator for _, w in atoms))
+    return True, den, tuple((w.numerator * (den // w.denominator), rows)
+                            for rows, w in atoms)
+
+
+def _grouped(zs):
+    """(exact, scale, groups) of the product of zs, groups as [(atoms, m)].
+
+    The product is scale times the sum over an m-subset of the canonical
+    atoms of each group of (prod W) [all rows], with
+    scale = prod m! / den^m (a float on float input).  Equal bodies of
+    positive degree form one group; a degree-0 atom does not wedge to zero
+    with itself, so degree-0 bodies stay apart.
     """
     zs = list(zs)
     if not zs:
         raise ValueError("empty product")
     n = zs[0].ambient_dim
-    deg = sum(z.degree for z in zs)
-    if deg > n:
+    if sum(z.degree for z in zs) > n:
         raise ValueError("degree overflow")
-    atoms = [(1, SimpleVector(n, ()))]
+    groups, index = [], {}
     for z in zs:
         if z.ambient_dim != n:
             raise ValueError("ambient dimension mismatch")
-        new = []
-        for w, v in atoms:
-            for w2, v2 in z.atoms:
-                nv = SimpleVector(n, v.factors + v2.factors)
-                nw = w * w2
-                if abs(wedge_norm([nv])) < PRUNE_TOL:
-                    continue
-                new.append((nw, nv))
-        atoms = new
+        key = (z.degree, *_canonical(z))
+        if z.degree and key in index:
+            groups[index[key]][1] += 1
+        else:
+            index[key] = len(groups)
+            groups.append([key, 1])
+    exact, scale = True, Fraction(1)
+    for (_, z_exact, den, _), m in groups:
+        exact = exact and z_exact
+        scale *= Fraction(math.factorial(m), den ** m)
+    if not exact:
+        scale = float(scale)
+    return exact, scale, [(atoms, m) for (*_, atoms), m in groups]
+
+
+def _terms(groups):
+    """(W, rows) for every choice of an m-subset of each group's atoms."""
+    for pick in itertools.product(*(itertools.combinations(atoms, m)
+                                    for atoms, m in groups)):
+        w, rows = 1, ()
+        for subset in pick:
+            for a, r in subset:
+                w *= a
+                rows += r
+        yield w, rows
+
+
+def _norm(rows, n, exact):
+    """|rows[0] ^ ... ^ rows[-1]|: |det| for n rows, else the Gram root."""
+    det_ = int_det if exact else det
+    if len(rows) == n:
+        return abs(det_(rows))
+    return exact_sqrt(max(det_([[dot(x, y) for y in rows] for x in rows]), 0))
+
+
+def _products(zs):
+    """(scale, terms) of the product of zs, terms as (W, rows, norm).
+
+    Each term stands for the atom scale * W [rows].  Terms that vanish
+    are left out: exactly on exact input, and relative to the Hadamard
+    bound prod |row|^2 on float input.
+    """
+    exact, scale, groups = _grouped(zs)
+    n = zs[0].ambient_dim
+    terms = []
+    for w, rows in _terms(groups):
+        norm = _norm(rows, n, exact)
+        if exact:
+            if norm == 0:
+                continue
+        elif norm ** 2 <= _GRAM_REL_TOL * math.prod(dot(r, r) for r in rows):
+            continue
+        terms.append((w, rows, norm))
+    return scale, terms
+
+
+def _wedge_length(zs):
+    """length(wedge(zs)), summed without building the product atoms."""
+    scale, terms = _products(zs)
+    return scale * sum((w * norm for w, _, norm in terms), start=0)
+
+
+def wedge(zs):
+    """Wedge product of virtual zonoids.
+
+    Atoms are the nonzero subset products of the canonical atoms.  The
+    center of the product is the wedge of the centers, scaled so that
+    the represented expectation product comes out right (a zonoid with
+    center c has mean segment expectation 2c).
+    """
+    zs = list(zs)
+    scale, terms = _products(zs)
+    n = zs[0].ambient_dim
+    atoms = [(scale * w, SimpleVector(n, rows)) for w, rows, _ in terms]
     center = None
     if all(z.center is not None for z in zs):
         c = zs[0].center
@@ -143,30 +265,23 @@ def wedge(zs):
         center = c.scale(2 ** (len(zs) - 1))
         if center.is_zero():
             center = None
-    return VirtualZonoid(n, deg, atoms, center)
+    return VirtualZonoid(n, sum(z.degree for z in zs), atoms, center)
 
 
 def mixed_volume(zs):
     """Mixed volume of n degree-1 zonoids in R^n: length(wedge)/n!."""
     zs = list(zs)
-    n = zs[0].ambient_dim
-    if len(zs) != n or any(z.degree != 1 for z in zs):
+    if (not zs or len(zs) != zs[0].ambient_dim
+            or any(z.degree != 1 for z in zs)):
         raise ValueError("need exactly n zonoids of degree 1 in R^n")
-    val = length(wedge(zs))
-    if is_exact(val):
-        return val / math.factorial(n)
-    return val / float(math.factorial(n))
+    return _wedge_length(zs) / math.factorial(len(zs))
 
 
 def volume(z):
     """Volume of the zonotope generated by a degree-1 zonoid in R^n."""
-    n = z.ambient_dim
     if z.degree != 1:
         raise ValueError("volume needs a degree-1 zonoid")
-    val = length(wedge([z] * n))
-    if is_exact(val):
-        return val / math.factorial(n)
-    return val / float(math.factorial(n))
+    return mixed_volume([z] * z.ambient_dim)
 
 
 def intrinsic_volume(z, d):
@@ -178,7 +293,7 @@ def intrinsic_volume(z, d):
         raise ValueError("d out of range")
     if d == 0:
         return 1
-    ell = length(wedge([z] * d))
+    ell = _wedge_length([z] * d)
     # binom(n,d)/kappa_{n-d} * MV(z[d], B[n-d]); the ball factor collapses
     # the constant to an exact rational
     factor = (ball_wedge_length(n, d, n - d, 1) / kappa(n - d)
@@ -204,7 +319,11 @@ def exp_truncated(L, max_degree):
 
 
 def crofton_evaluate(L, K):
-    """Crofton valuation of L at a degree-1 zonoid K: (1/d!) <L, K^(wedge d)>."""
+    """Crofton valuation of L at a degree-1 zonoid K: (1/d!) <L, K^(wedge d)>.
+
+    <a_1^...^a_d, k_1^...^k_d> = det(<a_i, k_j>), so each term is the
+    determinant of a d x d block of the table of dot products.
+    """
     if K.degree != 1:
         raise ValueError("K must have degree 1")
     if L.ambient_dim != K.ambient_dim:
@@ -212,11 +331,19 @@ def crofton_evaluate(L, K):
     d = L.degree
     if d == 0:
         return sum((w for w, _ in L.atoms), start=0)
-    kd = wedge([K] * d)
-    val = pairing(L, kd)
-    if is_exact(val):
-        return val / math.factorial(d)
-    return val / float(math.factorial(d))
+    l_exact, l_den, l_atoms = _canonical(L)
+    k_exact, k_den, k_atoms = _canonical(K)
+    exact = l_exact and k_exact
+    picks = [(math.prod(k_atoms[j][0] for j in s), s)
+             for s in itertools.combinations(range(len(k_atoms)), d)]
+    total = 0 if exact else 0.0
+    for wl, rows in l_atoms:
+        table = [[dot(a, k) for _, (k,) in k_atoms] for a in rows]
+        for wk, s in picks:
+            block = [[t[j] for j in s] for t in table]
+            total += wl * wk * abs(int_det(block) if exact else det(block))
+    # the d! orderings of each d-subset of K cancel the 1/d! of the valuation
+    return total * Fraction(1, l_den * k_den ** d)
 
 
 def crofton_evaluate_graded(parts, K):
@@ -283,8 +410,20 @@ def to_json(z):
 
 
 def from_json(data):
+    if not isinstance(data, dict):
+        raise ValueError("a zonoid must be a JSON object")
+    try:
+        return _from_json(data)
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed zonoid JSON: {exc}") from exc
+
+
+def _from_json(data):
     n = data["ambient"]
     d = data["degree"]
+    if not (isinstance(n, int) and isinstance(d, int) and 0 <= d <= n):
+        raise ValueError("ambient and degree must be integers with "
+                         "0 <= degree <= ambient")
     atoms = []
     for a in data.get("atoms", []):
         w = _num_from_json(a["w"])

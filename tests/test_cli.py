@@ -105,6 +105,35 @@ class TestZonoid:
         code, _ = run(capsys, "zonoid", "length", "-f", "/no/such/file.json")
         assert code == 1
 
+    @pytest.mark.parametrize("content", ["[]", "5", "[1]", '"square"',
+                                         '{"ambient": 2, "degree": 1, '
+                                         '"atoms": 5}'])
+    def test_bad_json_shape(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_text(content)
+        code = main(["zonoid", "mixed-volume", "-f", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_tiny_square_stays_exact(self, capsys, tmp_path):
+        tiny = {"ambient": 2, "degree": 1,
+                "atoms": [{"w": 1, "v": [["1/100000000", 0]]},
+                          {"w": 1, "v": [[0, "1/100000000"]]}]}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(tiny))
+        data = run_json(capsys, "zonoid", "mixed-volume", "-f", str(path))
+        assert data["mixed_volume"] == "1/10000000000000000"
+
+    def test_degenerate_mixed_volume_is_exact_zero(self, capsys, tmp_path):
+        flat = {"ambient": 2, "degree": 1,
+                "atoms": [{"w": 1, "v": [[1, 1]]}, {"w": 2, "v": [[2, 2]]}]}
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(flat))
+        data = run_json(capsys, "zonoid", "mixed-volume", "-f", str(path))
+        assert data["mixed_volume"] == "0"
+
 
 class TestSphere:
     def test_expected_count_great_circles(self, capsys):

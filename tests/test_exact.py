@@ -51,6 +51,23 @@ class TestBareiss:
                   for _ in range(n)] for _ in range(n)]
             assert ex.bareiss_det(m) == cofactor(m)
 
+    def test_int_det_examples(self):
+        assert ex.int_det([]) == 1
+        assert ex.int_det([[6, 2], [2, 1]]) == 2
+        assert ex.int_det([[1, 2], [2, 4]]) == 0
+        assert ex.int_det([[0, 1], [1, 0]]) == -1
+        assert isinstance(ex.int_det([[3, 1], [4, 2]]), int)
+
+    def test_int_det_matches_bareiss(self):
+        rng = random.Random(1)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            m = [[rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(n)]
+                 for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                m[-1] = [a - 2 * b for a, b in zip(m[0], m[1])]
+            assert ex.int_det(m) == ex.bareiss_det(m)
+
     def test_solve(self):
         x = ex.bareiss_solve([[6, 2], [2, 1]], [2, 1])
         assert x == [Fraction(0), Fraction(1)]

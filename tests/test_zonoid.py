@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
@@ -277,3 +278,211 @@ class TestJson:
             u = ExteriorElement(3, 1, {(i,): Fraction(rng.randint(-4, 4))
                                        for i in range(3)})
             assert zn.support(back, u) == zn.support(z, u)
+
+
+# --- the product engine against a brute-force ordered-product oracle -------
+
+def frac_det(m):
+    """Determinant by Gaussian elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in m]
+    n, out = len(m), Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            out = -out
+        out *= m[k][k]
+        for r in range(k + 1, n):
+            f = m[r][k] / m[k][k]
+            m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    return out
+
+
+def gram(rows, cols):
+    return [[sum(a * b for a, b in zip(x, y)) for y in cols] for x in rows]
+
+
+def ordered_products(bodies):
+    """(weight, factor rows) of every ordered choice of one atom per body."""
+    for combo in itertools.product(*(b.atoms for b in bodies)):
+        yield (math.prod(w for w, _ in combo),
+               [f for _, v in combo for f in v.factors])
+
+
+def oracle_mixed_volume(bodies):
+    n = len(bodies)
+    return sum((w * abs(frac_det(rows)) for w, rows in ordered_products(bodies)),
+               start=Fraction(0)) / math.factorial(n)
+
+
+def oracle_wedge_length(bodies):
+    return sum(w * float(frac_det(gram(rows, rows))) ** 0.5
+               for w, rows in ordered_products(bodies))
+
+
+def oracle_crofton(L, K):
+    d = L.degree
+    total = Fraction(0)
+    for wl, a in L.atoms:
+        for w, rows in ordered_products([K] * d):
+            total += wl * w * abs(frac_det(gram(a.factors, rows)))
+    return total / math.factorial(d)
+
+
+COORDS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+WEIGHTS = st.builds(Fraction, st.integers(-2, 3), st.integers(1, 4))
+SCALES = st.builds(Fraction, st.integers(-2, 2).filter(bool),
+                   st.integers(1, 3))
+
+
+def vectors(n):
+    return st.lists(COORDS, min_size=n, max_size=n)
+
+
+@st.composite
+def zonotopes(draw, n, min_atoms=1, max_atoms=3):
+    """Rational degree-1 zonotopes with zero and parallel generators."""
+    atoms = draw(st.lists(st.tuples(WEIGHTS, vectors(n)),
+                          min_size=min_atoms, max_size=max_atoms))
+    parallel = [(draw(WEIGHTS), [c * x for x in v])
+                for c, (_, v) in zip(draw(st.lists(SCALES, max_size=2)), atoms)]
+    zero = [(draw(WEIGHTS), [0] * n)] if draw(st.booleans()) else []
+    return zn.VirtualZonoid(n, 1, [(w, SimpleVector(n, [v]))
+                                   for w, v in atoms + parallel + zero])
+
+
+@st.composite
+def body_lists(draw, n):
+    """n bodies in R^n with a repeat pattern such as [K, K, L]."""
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    distinct = {lab: draw(zonotopes(n, min_atoms=labels.count(lab)))
+                for lab in labels}
+    return [distinct[lab] for lab in labels]
+
+
+@st.composite
+def valuations(draw, n, d):
+    """Rational degree-d zonoids in R^n (factors may be dependent)."""
+    atoms = draw(st.lists(
+        st.tuples(WEIGHTS.filter(bool),
+                  st.lists(vectors(n), min_size=d, max_size=d)),
+        min_size=1, max_size=2))
+    return zn.VirtualZonoid(n, d, [(w, SimpleVector(n, fs)) for w, fs in atoms])
+
+
+ENGINE = settings(max_examples=25, deadline=None)
+
+
+class TestEngineAgainstOrderedOracle:
+    @ENGINE
+    @given(st.integers(2, 3).flatmap(body_lists))
+    def test_mixed_volume(self, bodies):
+        got = zn.mixed_volume(bodies)
+        assert isinstance(got, Fraction)
+        assert got == oracle_mixed_volume(bodies)
+
+    @ENGINE
+    @given(zonotopes(3), zonotopes(3))
+    def test_kkl_in_r3(self, k, l):
+        assert zn.mixed_volume([k, k, l]) == oracle_mixed_volume([k, k, l])
+        assert zn.length(zn.wedge([k, k, l])) == oracle_mixed_volume(
+            [k, k, l]) * 6
+
+    @ENGINE
+    @given(st.data())
+    def test_crofton(self, data):
+        d = data.draw(st.sampled_from((2, 3)))
+        L = data.draw(valuations(3, d))
+        K = data.draw(zonotopes(3, min_atoms=d, max_atoms=4))
+        got = zn.crofton_evaluate(L, K)
+        assert isinstance(got, Fraction)
+        assert got == oracle_crofton(L, K)
+
+    @ENGINE
+    @given(zonotopes(3), zonotopes(3))
+    def test_partial_wedge_length(self, k, l):
+        for bodies in ([k, k], [k, l]):
+            got = float(zn.length(zn.wedge(bodies)))
+            scale = oracle_wedge_length(
+                [zn.VirtualZonoid(3, 1, [(abs(w), v) for w, v in b.atoms])
+                 for b in bodies])
+            assert abs(got - oracle_wedge_length(bodies)) <= 1e-12 * scale
+
+    @ENGINE
+    @given(st.integers(2, 3).flatmap(body_lists))
+    def test_float_input(self, bodies):
+        def convert(b, num):
+            return zn.VirtualZonoid(b.ambient_dim, 1, [
+                (num(w), SimpleVector(b.ambient_dim, [map(num, v.factors[0])]))
+                for w, v in b.atoms])
+
+        floats = [convert(b, float) for b in bodies]
+        # floats are binary rationals, so their exact value is computable
+        exact = [convert(b, Fraction) for b in floats]
+        # a float determinant is good to a few eps of the Hadamard bound
+        hadamard = sum(abs(w) * math.prod(math.hypot(*r) for r in rows)
+                       for w, rows in ordered_products(floats))
+        got = zn.mixed_volume(floats)
+        assert abs(got - zn.mixed_volume(exact)) <= 1e-12 * hadamard
+
+
+class TestMixedVolumeProperties:
+    @ENGINE
+    @given(st.integers(2, 3).flatmap(
+        lambda n: st.tuples(body_lists(n), st.permutations(range(n)))))
+    def test_symmetric(self, case):
+        bodies, perm = case
+        assert zn.mixed_volume([bodies[i] for i in perm]) == zn.mixed_volume(
+            bodies)
+
+    @ENGINE
+    @given(zonotopes(3), zonotopes(3), body_lists(3), st.booleans())
+    def test_multilinear_under_minkowski_sums(self, a, b, bodies, repeat):
+        rest = [bodies[1]] * 2 if repeat else bodies[1:]
+        assert zn.mixed_volume([a + b] + rest) == (
+            zn.mixed_volume([a] + rest) + zn.mixed_volume([b] + rest))
+
+
+class TestExactRegressions:
+    def test_tiny_square(self):
+        eps = Fraction(1, 10**8)
+        z = zn.VirtualZonoid(2, 1, [(1, SimpleVector(2, [(eps, 0)])),
+                                    (1, SimpleVector(2, [(0, eps)]))])
+        assert zn.volume(z) == Fraction(1, 10**16)
+        assert zn.intrinsic_volume(z, 2) == Fraction(1, 10**16)
+
+    def test_degenerate_mixed_volume_is_exact_zero(self):
+        got = zn.mixed_volume([seg(2, (1, 1)), seg(2, (2, 2))])
+        assert got == 0 and isinstance(got, Fraction)
+        got = zn.volume(zn.VirtualZonoid(2, 1, []))
+        assert got == 0 and isinstance(got, Fraction)
+
+    def test_degenerate_crofton_is_exact_zero(self):
+        plane = zn.VirtualZonoid(
+            3, 2, [(1, SimpleVector(3, [(1, 0, 0), (0, 1, 0)]))])
+        got = zn.crofton_evaluate(plane, seg(3, (1, 2, 3)))
+        assert got == 0 and isinstance(got, Fraction)
+
+    def test_degenerate_float_input_gives_float_zero(self):
+        got = zn.mixed_volume([seg(2, (1.0, 1.0)), seg(2, (2.0, 2.0))])
+        assert got == 0 and isinstance(got, float)
+        plane = zn.VirtualZonoid(
+            3, 2, [(1.0, SimpleVector(3, [(1.0, 0, 0), (0, 1.0, 0)]))])
+        got = zn.crofton_evaluate(plane, seg(3, (0, 0, 1.0)))
+        assert got == 0 and isinstance(got, float)
+
+    def test_degree_zero_factors_do_not_vanish(self):
+        two = zn.VirtualZonoid(2, 0, [(2, SimpleVector(2, ()))])
+        w = zn.wedge([two, two, unit_square()])
+        assert zn.length(w) == 8
+
+    def test_parallel_atoms_merge(self):
+        merged = zn.VirtualZonoid(2, 1, [(3, SimpleVector(2, [(1, 1)])),
+                                         (1, SimpleVector(2, [(0, 1)]))])
+        split = zn.VirtualZonoid(2, 1, [(1, SimpleVector(2, [(1, 1)])),
+                                        (1, SimpleVector(2, [(-2, -2)])),
+                                        (1, SimpleVector(2, [(0, 1)]))])
+        assert len(zn.wedge([split, split]).atoms) == 1
+        assert zn.volume(split) == zn.volume(merged) == 3

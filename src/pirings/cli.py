@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -50,36 +51,99 @@ def _ring_to_json(e):
     return out
 
 
+_RING_TOKEN = re.compile(r"""
+    (?P<num>\.?\d[\d_.]*(?:[eE][-+]?\d+)?(?:/\d+)?)
+  | (?P<name>[A-Za-z_]\w*)
+  | (?P<op>[-+*^])
+""", re.VERBOSE)
+_GENERATORS = ("s", "t", "beta", "gamma")
+_END = (None, "end of input")
+
+
+def _ring_tokens(text):
+    """(kind, text) pairs of a ring expression, ending with _END.
+
+    Whitespace is ignored, so '1 / 3' is the number 1/3.
+    """
+    squeezed = re.sub(r"\s+", "", text)
+    pos, out = 0, []
+    while pos < len(squeezed):
+        m = _RING_TOKEN.match(squeezed, pos)
+        if m is None:
+            raise ValueError(f"unexpected character {squeezed[pos]!r} "
+                             f"in {text!r}")
+        out.append((m.lastgroup, m.group()))
+        pos = m.end()
+    return out + [_END]
+
+
+def _ring_terms(text):
+    """Split a ring expression into signed products of powers.
+
+    Grammar: expr = term (sign term)*, term = sign* factor ('*' factor)*,
+    factor = (number | generator) ['^' exponent].  A number is anything
+    Fraction accepts (1/3, 2.5, 1e-3); an exponent is a nonnegative
+    integer.  Returns [(negative, [(token, power), ...]), ...].
+    """
+    toks = _ring_tokens(text)
+    i = 0
+    terms = []
+    while True:
+        negative = False
+        while toks[i][1] in ("+", "-"):
+            negative ^= toks[i][1] == "-"
+            i += 1
+        factors = []
+        while True:
+            kind, tok = toks[i]
+            if kind not in ("num", "name"):
+                raise ValueError(f"expected a number or a generator, got "
+                                 f"{tok!r} in {text!r}")
+            if kind == "name" and tok not in _GENERATORS:
+                raise ValueError(f"unknown symbol {tok!r} in {text!r}; "
+                                 f"generators are {', '.join(_GENERATORS)}")
+            power = 1
+            if toks[i + 1][1] == "^":
+                exp = toks[i + 2][1]
+                if not re.fullmatch(r"[0-9]+", exp):
+                    raise ValueError(f"exponent of {tok!r} must be a "
+                                     f"nonnegative integer, got {exp!r} "
+                                     f"in {text!r}")
+                power = int(exp)
+                i += 2
+            factors.append((tok, power))
+            i += 1
+            if toks[i][1] != "*":
+                break
+            i += 1
+        terms.append((negative, factors))
+        if toks[i] == _END:
+            return terms
+        if toks[i][1] not in ("+", "-"):
+            raise ValueError(f"unexpected {toks[i][1]!r} in {text!r}")
+
+
 def _parse_ring_expr(n, text):
-    """Parse expressions like '2*s^2*t - 1/3*beta^3 + gamma'."""
+    """Parse expressions like '2*s^2*t - 1/3*beta^3 + 1e-3*gamma'."""
     if not text:
         raise ValueError("missing ring expression")
-    text = text.replace("-", "+-").replace(" ", "")
     total = cpn_ring.RingElement.zero(n)
-    for term in text.split("+"):
-        if not term:
-            continue
-        coeff = Fraction(1)
+    for negative, factors in _ring_terms(text):
+        coeff = Fraction(-1 if negative else 1)
         elem = cpn_ring.RingElement.one(n)
-        if term.startswith("-"):
-            coeff = -coeff
-            term = term[1:]
-        for tok in term.split("*"):
-            if not tok:
-                continue
-            name, _, power = tok.partition("^")
-            power = int(power) if power else 1
-            if name in ("s", "t", "beta", "gamma"):
-                gen = getattr(cpn_ring.RingElement, name)(n, power)
-                elem = elem * gen
+        for tok, power in factors:
+            if tok in _GENERATORS:
+                elem = elem * getattr(cpn_ring.RingElement, tok)(n, power)
             else:
-                coeff *= Fraction(name) ** power
+                coeff *= Fraction(tok) ** power
         total = total + elem.scale(coeff)
     return total
 
 
 def cmd_cpn(args):
     n = args.n
+    if n < 0:
+        raise ValueError(f"--n must be nonnegative, got {n}")
     if args.action == "basis":
         return {
             "n": n,

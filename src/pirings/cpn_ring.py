@@ -9,7 +9,9 @@ powers of pi reappear only in the length functional.
 """
 
 from fractions import Fraction
+import functools
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,25 +69,30 @@ def hankel_matrix(n, d):
              for b in js] for a in js]
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def reduce_monomial(n, big_j, tpow):
     """Express the raw monomial s^big_j t^tpow in the degree-d basis.
 
-    Returns a map j -> coefficient over the basis of degree d = 2 big_j
-    + tpow.  Coefficients solve the system matching lengths against all
-    complementary monomials of total degree 2n.
+    Returns a read-only map j -> coefficient over the basis of degree
+    d = 2 big_j + tpow.  Coefficients solve the system matching lengths
+    against all complementary monomials of total degree 2n, by one
+    exact elimination; results are cached per (n, big_j, tpow), since a
+    product reduces the same monomial many times.
     """
+    if big_j < 0 or tpow < 0:
+        raise ValueError("negative exponent")
     d = 2 * big_j + tpow
     if d > 2 * n or big_j > n:
-        return {}
+        return MappingProxyType({})
     js = j_set(n, d)
     if big_j in js:
-        return {big_j: Fraction(1)}
+        return MappingProxyType({big_j: Fraction(1)})
     comp = 2 * n - d
     mat = hankel_matrix(n, comp)
     rhs = [math.comb(2 * (n - big_j - k), n - big_j - k)
            if big_j + k <= n else 0 for k in j_set(n, comp)]
     coeffs = bareiss_solve(mat, rhs)
-    return {j: c for j, c in zip(js, coeffs) if c != 0}
+    return MappingProxyType({j: c for j, c in zip(js, coeffs) if c != 0})
 
 
 class RingElement:

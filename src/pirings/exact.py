@@ -1,7 +1,7 @@
 """Exact scalar arithmetic helpers.
 
-Everything in here works over fractions.Fraction so that the ring
-computations stay exact.  Scalars that involve powers of pi are kept
+Everything in here is exact: fractions.Fraction, or Python ints inside
+the fraction-free eliminations.  Scalars that involve powers of pi are kept
 symbolic as a rational coefficient times pi**(rational exponent).
 """
 
@@ -58,19 +58,19 @@ def bareiss_det(matrix):
     return sign * m[n - 1][n - 1]
 
 
-def int_det(matrix):
-    """Determinant of an integer matrix by Bareiss elimination.
+def _bareiss(m, width):
+    """Fraction-free forward elimination of integer rows m, in place.
 
-    Every division in the elimination is exact, so the whole computation
-    stays in Python ints and the result is an int.
+    Eliminates below the diagonal of the leading square part, updating
+    columns up to width, and swaps rows to find nonzero pivots.  Every
+    division is exact; afterwards m[k][k] is the leading k+1 minor of
+    the row-permuted matrix.  Returns the sign of the row permutation,
+    or 0 when the square part is singular.
     """
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix]
+    n = len(m)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if m[k][k] == 0:
             for r in range(k + 1, n):
                 if m[r][k] != 0:
@@ -83,29 +83,55 @@ def int_det(matrix):
         pivot = pivot_row[k]
         for row in m[k + 1:]:
             a = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign
+
+
+def int_det(matrix):
+    """Determinant of an integer matrix by Bareiss elimination.
+
+    Every division in the elimination is exact, so the whole computation
+    stays in Python ints and the result is an int.
+    """
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix]
+    return _bareiss(m, n) * m[n - 1][n - 1]
+
+
+def _integer_row(row):
+    """The row scaled by the lcm of its denominators, as Python ints."""
+    row = [x if isinstance(x, int) else Fraction(x) for x in row]
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
 
 
 def bareiss_solve(matrix, rhs):
-    """Solve a square system exactly, via Cramer's rule on Bareiss determinants.
+    """Solve a square system exactly; returns a list of Fractions.
 
-    Suited to the small positive definite systems that show up in the
-    ring reductions.  Raises ValueError on a singular matrix.
+    Each equation is first scaled to integer coefficients.  One
+    fraction-free (Bareiss) elimination of the augmented matrix [A | b]
+    then leaves an upper triangular system whose last pivot D is the
+    determinant of the row-permuted A.  Back-substitution on the
+    integers y = D x divides exactly, and each unknown is y_i / D.
+    Raises ValueError on a singular matrix.
     """
     n = len(matrix)
-    d = bareiss_det(matrix)
-    if d == 0:
+    if len(rhs) != n or any(len(row) != n for row in matrix):
+        raise ValueError("need a square matrix and a matching right-hand side")
+    m = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    if not _bareiss(m, n + 1):
         raise ValueError("singular matrix")
-    out = []
-    for col in range(n):
-        mod = [list(row) for row in matrix]
-        for i in range(n):
-            mod[i][col] = rhs[i]
-        out.append(bareiss_det(mod) / d)
-    return out
+    det = m[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
+        y[i] = acc // row[i]
+    return [Fraction(v, det) for v in y]
 
 
 def gamma_half(two_k):

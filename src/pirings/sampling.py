@@ -52,22 +52,6 @@ class Estimate:
         }
 
 
-@dataclass
-class RealifiedUnitary:
-    """A unitary matrix of C^n as a 2n x 2n real matrix.
-
-    The identification interleaves coordinates: real axis of the j-th
-    complex coordinate at index 2j, imaginary axis at 2j+1.
-    """
-
-    n: int
-    matrix: np.ndarray
-
-    @classmethod
-    def from_complex(cls, u):
-        return cls(u.shape[-1], realify(u))
-
-
 def complex_structure(n):
     """The matrix J of multiplication by i on R^(2n), J^2 = -I."""
     j = np.zeros((2 * n, 2 * n))
@@ -112,10 +96,6 @@ def haar_unitary_realified(n, rng, size=None):
     mod = np.abs(d)
     phase = np.where(mod == 0, 1.0, d / np.where(mod == 0, 1.0, mod))
     return realify(q * np.conj(phase)[..., None, :])
-
-
-def haar_unitary(n, rng):
-    return RealifiedUnitary(n, haar_unitary_realified(n, rng))
 
 
 class GaussianSampler:
@@ -255,7 +235,12 @@ def run_blocks(samples, seed, block_fn, workers=1):
 
     block_fn returns (sum, sum_of_squares, max) triples; they are folded
     in block order, so the result does not depend on worker count.
+    Raises ValueError unless samples and workers are at least 1.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     nblocks = (samples + BLOCK - 1) // BLOCK
     sizes = [min(BLOCK, samples - b * BLOCK) for b in range(nblocks)]
     if workers > 1:

@@ -11,6 +11,11 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
 def run_json(capsys, *argv):
     code, out = run(capsys, *argv)
     assert code == 0
@@ -64,6 +69,35 @@ class TestCpn:
     def test_bad_expression(self, capsys):
         code, _ = run(capsys, "cpn", "length", "--n", "2", "--expr", "q^2")
         assert code == 1
+
+    @pytest.mark.parametrize("expr, same_as", [
+        ("1e-3*s", "1/1000*s"),
+        ("2.5e-1*t - 1E+1*s", "1/4*t - 10*s"),
+        ("s - -t", "s + t"),
+        ("1/2^2 * t", "1/4*t"),
+    ])
+    def test_numeric_literals(self, capsys, expr, same_as):
+        a = run_json(capsys, "cpn", "length", "--n", "2", "--expr", expr)
+        b = run_json(capsys, "cpn", "length", "--n", "2", "--expr", same_as)
+        assert a["length_by_degree"] == b["length_by_degree"]
+
+    @pytest.mark.parametrize("expr", ["s^-1", "s^", "t^x", "s^2.5", "s**2",
+                                      "2*-s", "s +", "-", "2s", "(s)"])
+    def test_malformed_expression(self, capsys, expr):
+        code, err = run_err(capsys, "cpn", "length", "--n", "2",
+                            "--expr", expr)
+        assert code == 1
+        assert err.startswith("error: ") and repr(expr) in err
+
+    def test_negative_exponent_message(self, capsys):
+        _, err = run_err(capsys, "cpn", "length", "--n", "2", "--expr", "s^-1")
+        assert "nonnegative integer" in err
+
+    @pytest.mark.parametrize("action", ["basis", "relations", "length"])
+    def test_negative_n(self, capsys, action):
+        code, err = run_err(capsys, "cpn", action, "--n", "-1", "--expr", "s")
+        assert code == 1
+        assert err.startswith("error: --n")
 
 
 class TestSchubert:
@@ -187,3 +221,17 @@ class TestOutputModes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("sphere", "ball-mc", "--samples", "0"),
+    ("sphere", "ball-mc", "--samples", "100", "--workers", "0"),
+    ("cpn", "tasaki", "--n", "2", "--mc", "--samples", "-5"),
+    ("schubert", "edeg22", "--samples", "0"),
+    ("schubert", "shape", "--diagrams", "1|1", "--workers", "0"),
+])
+def test_bad_sample_or_worker_count(capsys, argv):
+    code, err = run_err(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "must be at least 1" in err

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pirings import cpn_ring as cp
@@ -80,6 +81,88 @@ class TestHankel:
             for k in range(1, len(mat) + 1):
                 minor = [row[:k] for row in mat[:k]]
                 assert bareiss_det(minor) > 0
+
+
+def cramer_reduce(n, big_j, tpow):
+    """The reduction by Cramer's rule on Fraction Bareiss determinants."""
+    d = 2 * big_j + tpow
+    if d > 2 * n or big_j > n:
+        return {}
+    js = cp.j_set(n, d)
+    if big_j in js:
+        return {big_j: Fraction(1)}
+    comp = 2 * n - d
+    mat = cp.hankel_matrix(n, comp)
+    rhs = [math.comb(2 * (n - big_j - k), n - big_j - k)
+           if big_j + k <= n else 0 for k in cp.j_set(n, comp)]
+    det = bareiss_det(mat)
+    out = {}
+    for col, j in enumerate(js):
+        mod = [row[:col] + [b] + row[col + 1:] for row, b in zip(mat, rhs)]
+        c = bareiss_det(mod) / det
+        if c != 0:
+            out[j] = c
+    return out
+
+
+class TestReduceMonomial:
+    def test_matches_cramer(self):
+        for n in range(15):
+            for big_j in range(n + 2):
+                for tpow in range(2 * n + 2 - 2 * big_j):
+                    assert (cp.reduce_monomial(n, big_j, tpow)
+                            == cramer_reduce(n, big_j, tpow)), (n, big_j, tpow)
+
+    def test_negative_exponent_rejected(self):
+        for args in ((3, 2, -1), (3, -1, 2), (2, -1, -1)):
+            with pytest.raises(ValueError):
+                cp.reduce_monomial(*args)
+        with pytest.raises(ValueError):
+            RingElement.monomial(3, 0, -1)
+        with pytest.raises(ValueError):
+            RingElement.s(3, -1)
+
+    def test_cached_result_is_read_only(self):
+        red = cp.reduce_monomial(4, 3, 0)
+        with pytest.raises(TypeError):
+            red[0] = Fraction(7)
+        assert cp.reduce_monomial(4, 3, 0) == cramer_reduce(4, 3, 0)
+
+
+def ring_elements(n):
+    """Random elements of the ring of CP^n with rational coefficients."""
+    keys = [(d, j) for d in range(2 * n + 1) for j in cp.j_set(n, d)]
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.dictionaries(st.sampled_from(keys), coeff, max_size=4).map(
+        lambda c: RingElement(n, c))
+
+
+@st.composite
+def ring_triples(draw):
+    n = draw(st.integers(1, 5))
+    elems = ring_elements(n)
+    return draw(elems), draw(elems), draw(elems)
+
+
+class TestRingProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples())
+    def test_commutative(self, abc):
+        a, b, _ = abc
+        assert a * b == b * a
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples())
+    def test_associative(self, abc):
+        a, b, c = abc
+        assert (a * b) * c == a * (b * c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ring_triples())
+    def test_distributive(self, abc):
+        a, b, c = abc
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
 
 
 class TestMultiply:
@@ -220,6 +303,12 @@ class TestCodim2:
                 delta = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 assert (cp.self_intersection_via_ring(n, d, delta)
                         == cp.self_intersection_codim2(n, d, delta))
+
+
+    def test_ring_route_exact_at_n48(self):
+        for d, delta in ((Fraction(3, 7), Fraction(-5, 2)), (2, 1)):
+            assert (cp.self_intersection_via_ring(48, d, delta)
+                    == cp.self_intersection_codim2(48, d, delta))
 
 
 class TestFk:

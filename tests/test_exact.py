@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pirings import exact as ex
 from pirings.exact import PiScalar
@@ -75,6 +76,94 @@ class TestBareiss:
     def test_solve_singular(self):
         with pytest.raises(ValueError):
             ex.bareiss_solve([[1, 2], [2, 4]], [1, 1])
+
+
+def gauss_solve(matrix, rhs):
+    """Reference solver: Gauss-Jordan elimination on Fractions."""
+    n = len(matrix)
+    m = [[Fraction(x) for x in row] + [Fraction(b)]
+         for row, b in zip(matrix, rhs)]
+    for k in range(n):
+        piv = next(r for r in range(k, n) if m[r][k] != 0)
+        m[k], m[piv] = m[piv], m[k]
+        m[k] = [x / m[k][k] for x in m[k]]
+        for r in range(n):
+            if r != k and m[r][k] != 0:
+                f = m[r][k]
+                m[r] = [a - f * b for a, b in zip(m[r], m[k])]
+    return [row[n] for row in m]
+
+
+small_ints = st.integers(-9, 9)
+rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
+
+
+@st.composite
+def systems(draw, entries):
+    n = draw(st.integers(1, 6))
+    mat = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    rhs = [draw(entries) for _ in range(n)]
+    return mat, rhs
+
+
+class TestBareissSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(systems(small_ints), systems(rationals)))
+    def test_matches_gauss(self, system):
+        mat, rhs = system
+        if ex.bareiss_det(mat) == 0:
+            with pytest.raises(ValueError):
+                ex.bareiss_solve(mat, rhs)
+        else:
+            x = ex.bareiss_solve(mat, rhs)
+            assert x == gauss_solve(mat, rhs)
+            assert all(isinstance(v, Fraction) for v in x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(systems(small_ints), st.data())
+    def test_singular_raises(self, system, data):
+        mat, rhs = system
+        n = len(mat)
+        # replace one row by a combination of the others
+        r = data.draw(st.integers(0, n - 1))
+        coeffs = [data.draw(small_ints) for _ in range(n)]
+        mat[r] = [sum(c * mat[i][j] for i, c in enumerate(coeffs) if i != r)
+                  for j in range(n)]
+        with pytest.raises(ValueError):
+            ex.bareiss_solve(mat, rhs)
+
+    def test_needs_pivoting(self):
+        assert ex.bareiss_solve([[0, 1], [1, 0]], [3, 4]) == [4, 3]
+        assert ex.bareiss_solve([[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+                                [1, 1, 1]) == [Fraction(1, 3),
+                                               Fraction(1, 2), 1]
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(2)
+        for _ in range(20):
+            n = rng.randint(1, 7)
+            mat = [[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(n)] for _ in range(n)]
+            rhs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(n)]
+            if ex.bareiss_det(mat) == 0:
+                continue
+            want = sympy.Matrix(mat).LUsolve(sympy.Matrix(rhs))
+            assert ex.bareiss_solve(mat, rhs) == [
+                Fraction(int(v.p), int(v.q)) for v in want]
+
+    def test_floats_are_read_exactly(self):
+        assert ex.bareiss_solve([[0.5]], [0.25]) == [Fraction(1, 2)]
+
+    def test_empty_system(self):
+        assert ex.bareiss_solve([], []) == []
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            ex.bareiss_solve([[1, 2]], [1])
+        with pytest.raises(ValueError):
+            ex.bareiss_solve([[1]], [1, 2])
 
 
 class TestGammaHalf:

@@ -139,6 +139,21 @@ class TestSchubertSampler:
             sp.SchubertSampler((3,), 2, 2)
 
 
+class TestRunBlocks:
+    @pytest.mark.parametrize("samples, workers", [(0, 1), (-3, 1), (10, 0),
+                                                  (10, -1)])
+    def test_counts_checked_before_any_block(self, samples, workers):
+        calls = []
+
+        def block_fn(b, size):
+            calls.append(b)
+            return 0.0, 0.0, 0.0
+
+        with pytest.raises(ValueError, match="must be at least 1"):
+            sp.run_blocks(samples, 0, block_fn, workers)
+        assert calls == []
+
+
 class TestMcWedgeLength:
     def test_ball_pair_in_r2(self):
         b = sp.gaussian_ball(2)

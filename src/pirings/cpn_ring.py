@@ -406,11 +406,13 @@ def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    vx = _v_theta(n, x)
+    # V_theta lives in coordinates 0-2, so h acts on it through its first
+    # four realified columns: two complex columns
+    vx = _v_theta(n, x)[:, :4]
     vy = _v_theta(n, y)
 
     def block_fn(b, size):
-        h = haar_unitary_realified(n, substream(seed, 0, b), size)
+        h = haar_unitary_realified(n, substream(seed, 0, b), size, cols=2)
         moved = np.einsum("sab,db->sda", h, vx)
         g = np.einsum("sik,jk->sij", moved, vy)
         vals = n * np.abs(np.linalg.det(g))

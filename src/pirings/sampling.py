@@ -61,41 +61,79 @@ def complex_structure(n):
     return j
 
 
-def realify(u):
-    """Realify a (batch of) complex n x n matrices to 2n x 2n real ones."""
-    a, b = u.real, u.imag
-    n = u.shape[-1]
-    out = np.zeros(u.shape[:-2] + (2 * n, 2 * n))
-    out[..., 0::2, 0::2] = a
-    out[..., 0::2, 1::2] = -b
-    out[..., 1::2, 0::2] = b
-    out[..., 1::2, 1::2] = a
-    return out
+def _gram_schmidt(v, pairs=False):
+    """Orthonormalise the columns v[0], v[1], ... in place, batched.
+
+    v has shape (c, N, *batch): column j of every matrix in the batch is
+    v[j], so each step runs over the whole batch at once.  The result,
+    returned as a (*batch, N, c) view, is the Q of the thin QR
+    factorisation with diag(R) > 0.  Each column is orthogonalised
+    against the earlier ones twice (classical Gram-Schmidt with
+    reorthogonalisation, "twice is enough"), which keeps Q^T Q = I to
+    rounding for any numerically nonsingular input.
+
+    With pairs=True, v holds realified complex columns in its even slots
+    (interleaved real and imaginary parts); each odd slot is filled with
+    i times the column before it.  Real Gram-Schmidt on g_0, i g_0, g_1,
+    i g_1, ... is complex Gram-Schmidt on g_0, g_1, ...: projecting onto
+    the real span of q_k and i q_k is the complex projection onto q_k,
+    and i q_j is orthogonal to q_j already.
+    """
+    step = 2 if pairs else 1
+    for j in range(0, v.shape[0], step):
+        for _ in range(2 if j else 0):
+            coef = np.einsum("ki...,i...->k...", v[:j], v[j])
+            v[j] -= np.einsum("ki...,k...->i...", v[:j], coef)
+        v[j] /= np.sqrt(np.einsum("i...,i...->...", v[j], v[j]))
+        if pairs:
+            np.negative(v[j, 1::2], out=v[j + 1, 0::2])
+            v[j + 1, 1::2] = v[j, 0::2]
+    return np.moveaxis(v, (0, 1), (-1, -2))
 
 
-def _qr_haar_fix(q, r):
-    d = np.sign(np.einsum("...ii->...i", r))
-    d = np.where(d == 0, 1.0, d)
-    return q * d[..., None, :]
+def _columns_first(g):
+    """(*batch, N, c) -> (c, N, *batch), the layout _gram_schmidt works in."""
+    return np.moveaxis(g, (-1, -2), (0, 1))
 
 
-def haar_orthogonal(n, rng, size=None):
-    """Haar-distributed orthogonal matrices, QR of a Gaussian with sign fix."""
+def _columns(n, cols):
+    cols = n if cols is None else cols
+    if not 0 <= cols <= n:
+        raise ValueError(f"cols must lie in [0, {n}], got {cols}")
+    return cols
+
+
+def haar_orthogonal(n, rng, size=None, cols=None):
+    """The first `cols` columns (default all n) of Haar orthogonal matrices.
+
+    Draws the same n x n Gaussians as a full draw, so later draws from
+    rng do not depend on `cols`.  Gram-Schmidt of the Gaussian columns is
+    the Q factor of QR with the signs of diag(R) made positive, which is
+    Haar distributed (Mezzadri 2007).
+    """
+    cols = _columns(n, cols)
     shape = (n, n) if size is None else (size, n, n)
     g = rng.standard_normal(shape)
-    q, r = np.linalg.qr(g)
-    return _qr_haar_fix(q, r)
+    return _gram_schmidt(_columns_first(g[..., :cols]).copy())
 
 
-def haar_unitary_realified(n, rng, size=None):
-    """Realified Haar unitaries; complex QR with phase fix on diag(R)."""
+def haar_unitary_realified(n, rng, size=None, cols=None):
+    """Realified first `cols` columns (default all n) of Haar unitaries.
+
+    U acts on C^n = R^(2n) with interleaved real and imaginary parts, so
+    the result has 2 * cols real columns: those of U e_j and U (i e_j) for
+    j < cols.  As for haar_orthogonal, the full n x n complex Gaussian is
+    drawn, and the Gram-Schmidt Q is QR's Q with the phases of diag(R)
+    removed (Mezzadri 2007).
+    """
+    cols = _columns(n, cols)
     shape = (n, n) if size is None else (size, n, n)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, r = np.linalg.qr(g)
-    d = np.einsum("...ii->...i", r)
-    mod = np.abs(d)
-    phase = np.where(mod == 0, 1.0, d / np.where(mod == 0, 1.0, mod))
-    return realify(q * np.conj(phase)[..., None, :])
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    v = np.empty((2 * cols, 2 * n) + shape[:-2])
+    v[0::2, 0::2] = _columns_first(re[..., :cols])
+    v[0::2, 1::2] = _columns_first(im[..., :cols])
+    return _gram_schmidt(v, pairs=True)
 
 
 class GaussianSampler:
@@ -130,8 +168,8 @@ class ComplexLineSampler:
         self.degree = 2
 
     def draw(self, rng, size):
-        m = haar_unitary_realified(self.n, rng, size)
-        # images of e_1 and of i e_1 (columns 0 and 1 of the realified matrix)
+        # images of e_1 and of i e_1: the realified first column
+        m = haar_unitary_realified(self.n, rng, size, cols=1)
         return np.stack([m[:, :, 0], m[:, :, 1]], axis=1)
 
 
@@ -139,7 +177,8 @@ class SchubertSampler:
     """Random rotate of the coordinate Schubert simple vector in R^(k m).
 
     Draws (Q, R) Haar on O(k) x O(m) and wedges Q e_i (x) R f_j over the
-    boxes of the diagram, row-major.
+    boxes of the diagram, row-major.  Only the columns the boxes touch are
+    computed: len(parts) of Q and parts[0] of R.
     """
 
     def __init__(self, parts, k, m):
@@ -154,8 +193,9 @@ class SchubertSampler:
         self.boxes = [(i, j) for i, p in enumerate(parts) for j in range(p)]
 
     def draw(self, rng, size):
-        q = haar_orthogonal(self.k, rng, size)
-        r = haar_orthogonal(self.m, rng, size)
+        q = haar_orthogonal(self.k, rng, size, cols=len(self.parts))
+        r = haar_orthogonal(self.m, rng, size,
+                            cols=self.parts[0] if self.parts else 0)
         out = np.empty((size, self.degree, self.ambient_dim))
         for b, (i, j) in enumerate(self.boxes):
             out[:, b, :] = np.einsum(

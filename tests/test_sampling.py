@@ -107,6 +107,70 @@ class TestHaarUnitary:
         assert np.array_equal(j @ j, -np.eye(8))
 
 
+def _qr_orthogonal(rng, n, size):
+    """Reference O(n) draw: LAPACK QR of a Gaussian, signs of diag(R) fixed."""
+    g = rng.standard_normal((n, n) if size is None else (size, n, n))
+    q, r = np.linalg.qr(g)
+    d = np.sign(np.einsum("...ii->...i", r))
+    return q * np.where(d == 0, 1.0, d)[..., None, :]
+
+
+def _qr_unitary_realified(rng, n, size):
+    """Reference U(n) draw: complex QR, phases of diag(R) fixed, realified."""
+    shape = (n, n) if size is None else (size, n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, r = np.linalg.qr(g)
+    d = np.einsum("...ii->...i", r)
+    u = q * (d / np.abs(d)).conj()[..., None, :]
+    out = np.zeros(shape[:-2] + (2 * n, 2 * n))
+    out[..., 0::2, 0::2] = u.real
+    out[..., 0::2, 1::2] = -u.imag
+    out[..., 1::2, 0::2] = u.imag
+    out[..., 1::2, 1::2] = u.real
+    return out
+
+
+class TestHaarMatchesQr:
+    """Gram-Schmidt draws equal QR plus sign/phase fix on the same Gaussians."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("size", [None, 300])
+    def test_orthogonal(self, n, size):
+        ref = _qr_orthogonal(sp.substream(20, n), n, size)
+        for cols in range(n + 1):
+            rng = sp.substream(20, n)
+            q = sp.haar_orthogonal(n, rng, size, cols=cols)
+            assert q.shape == ref.shape[:-1] + (cols,)
+            assert np.abs(q - ref[..., :cols]).max(initial=0.0) <= 1e-12
+            gram = np.einsum("...ki,...kj->...ij", q, q)
+            assert np.abs(gram - np.eye(cols)).max(initial=0.0) <= 1e-12
+            # the whole n x n Gaussian is consumed whatever cols is
+            assert rng.standard_normal() == sp.substream(20, n).standard_normal(
+                (n * n if size is None else size * n * n) + 1)[-1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("size", [None, 300])
+    def test_unitary_realified(self, n, size):
+        ref = _qr_unitary_realified(sp.substream(21, n), n, size)
+        assert sp.haar_unitary_realified(n, sp.substream(21, n), size).shape \
+            == ref.shape
+        for cols in range(n + 1):
+            rng = sp.substream(21, n)
+            m = sp.haar_unitary_realified(n, rng, size, cols=cols)
+            assert m.shape == ref.shape[:-1] + (2 * cols,)
+            assert np.abs(m - ref[..., :2 * cols]).max(initial=0.0) <= 1e-12
+            gram = np.einsum("...ki,...kj->...ij", m, m)
+            assert np.abs(gram - np.eye(2 * cols)).max(initial=0.0) <= 1e-12
+            assert rng.standard_normal() == sp.substream(21, n).standard_normal(
+                2 * (n * n if size is None else size * n * n) + 1)[-1]
+
+    @pytest.mark.parametrize("cols", [-1, 4])
+    def test_cols_out_of_range(self, cols):
+        for haar in (sp.haar_orthogonal, sp.haar_unitary_realified):
+            with pytest.raises(ValueError, match="cols must lie in"):
+                haar(3, sp.substream(0, 0), 5, cols=cols)
+
+
 class TestComplexLine:
     def test_unit_norm_pair(self):
         rng = sp.substream(7, 0)

@@ -17,7 +17,8 @@ import numpy as np
 
 from .exact import PiScalar, bareiss_solve
 from .exterior import ExteriorElement
-from .sampling import Estimate, haar_unitary_realified, run_blocks, substream
+from .sampling import (Estimate, block_stats, haar_unitary_realified,
+                       run_blocks, substream)
 from .sphere_ring import kappa
 
 
@@ -199,6 +200,8 @@ class RingElement:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError(f"negative exponent {k}")
         out = RingElement.one(self.n)
         for _ in range(k):
             out = multiply(out, self)
@@ -372,12 +375,16 @@ def f_k(k):
                for j in range(k + 1))
 
 
-def tasaki_kernel_d2(n, x, y):
-    """Closed-form degree-2 Tasaki kernel on [0,1]^2."""
+def _check_tasaki_args(n, x, y):
     if n < 2:
         raise ValueError("need n >= 2")
     if not (0 <= x <= 1 and 0 <= y <= 1):
-        raise ValueError("arguments must lie in [0, 1]")
+        raise ValueError(f"arguments must lie in [0, 1], got x={x}, y={y}")
+
+
+def tasaki_kernel_d2(n, x, y):
+    """Closed-form degree-2 Tasaki kernel on [0,1]^2."""
+    _check_tasaki_args(n, x, y)
     return ((1 + x) * (1 + y) + Fraction(n, n - 1) * (1 - x) * (1 - y)) / 4
 
 
@@ -404,8 +411,7 @@ def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
     normalisation of the closed-form kernel (checked exactly at
     x = y = 1, where E|<h V_1, V_1>| = 1/n and the kernel is 1).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _check_tasaki_args(n, x, y)
     # V_theta lives in coordinates 0-2, so h acts on it through its first
     # four realified columns: two complex columns
     vx = _v_theta(n, x)[:, :4]
@@ -415,8 +421,7 @@ def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
         h = haar_unitary_realified(n, substream(seed, 0, b), size, cols=2)
         moved = np.einsum("sab,db->sda", h, vx)
         g = np.einsum("sik,jk->sij", moved, vy)
-        vals = n * np.abs(np.linalg.det(g))
-        return float(vals.sum()), float((vals * vals).sum()), float(vals.max())
+        return block_stats(n * np.abs(np.linalg.det(g)))
 
     return run_blocks(samples, seed, block_fn, workers)
 

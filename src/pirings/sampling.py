@@ -270,11 +270,23 @@ def _gram_root_det(x):
     return np.sqrt(np.clip(np.linalg.det(g), 0.0, None))
 
 
+def block_stats(vals):
+    """(count, mean, M2, max) of one block of samples.
+
+    M2 is the sum of squared deviations from the block mean, computed in
+    two passes, so it stays accurate when the mean dwarfs the spread.
+    """
+    mean = vals.mean()
+    dev = vals - mean
+    return vals.size, float(mean), float((dev * dev).sum()), float(vals.max())
+
+
 def run_blocks(samples, seed, block_fn, workers=1):
     """Run block_fn(block_index, block_size) over all trial blocks.
 
-    block_fn returns (sum, sum_of_squares, max) triples; they are folded
-    in block order, so the result does not depend on worker count.
+    block_fn returns block_stats of its samples.  The blocks are merged
+    in block order with the pairwise update of Chan, Golub and LeVeque,
+    so the result does not depend on worker count.
     Raises ValueError unless samples and workers are at least 1.
     """
     if samples < 1:
@@ -288,14 +300,15 @@ def run_blocks(samples, seed, block_fn, workers=1):
             results = list(pool.map(block_fn, range(nblocks), sizes))
     else:
         results = [block_fn(b, s) for b, s in zip(range(nblocks), sizes)]
-    total = sum(r[0] for r in results)
-    total_sq = sum(r[1] for r in results)
-    top = max(r[2] for r in results)
-    mean = total / samples
-    if samples > 1:
-        var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    else:
-        var = 0.0
+    count, mean, m2 = 0, 0.0, 0.0
+    for n_b, mean_b, m2_b, _ in results:
+        total = count + n_b
+        delta = mean_b - mean
+        mean += delta * n_b / total
+        m2 += m2_b + delta * delta * count * n_b / total
+        count = total
+    top = max(r[3] for r in results)
+    var = m2 / (samples - 1) if samples > 1 else 0.0
     return Estimate(mean, math.sqrt(var / samples), samples, seed, top)
 
 
@@ -311,14 +324,14 @@ def mc_wedge_length(zs, samples, seed, workers=1):
     scale = 1.0
     for z in zs:
         scale *= z.scale
-    if scale == 0.0:
-        return Estimate(0.0, 0.0, samples, seed, 0.0)
 
     def block_fn(b, size):
+        if scale == 0.0:
+            return block_stats(np.zeros(size))
         draws = [z.sampler.draw(substream(seed, slot, b), size)
                  for slot, z in enumerate(zs)]
-        vals = scale * _gram_root_det(np.concatenate(draws, axis=1))
-        return float(vals.sum()), float((vals * vals).sum()), float(vals.max())
+        return block_stats(
+            scale * _gram_root_det(np.concatenate(draws, axis=1)))
 
     return run_blocks(samples, seed, block_fn, workers)
 
@@ -333,7 +346,6 @@ def mc_pairing(a, b, samples, seed, workers=1):
         x = a.sampler.draw(substream(seed, 0, blk), size)
         y = b.sampler.draw(substream(seed, 1, blk), size)
         g = np.einsum("sik,sjk->sij", x, y)
-        vals = scale * np.abs(np.linalg.det(g))
-        return float(vals.sum()), float((vals * vals).sum()), float(vals.max())
+        return block_stats(scale * np.abs(np.linalg.det(g)))
 
     return run_blocks(samples, seed, block_fn, workers)

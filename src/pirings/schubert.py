@@ -251,6 +251,8 @@ def verify_span_decomposition(k, m, d, samples=200, tol=1e-9, seed=0):
     ranks to the Schur dimensions, checks cross-orbit orthogonality, and
     checks wedge-span ranks against the LR prediction.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     diagrams = [YoungDiagram(p) for p in _partitions(d, k, m)]
     report = {"k": k, "m": m, "d": d, "orbits": {}, "wedges": {}, "ok": True}
     mats = {}

@@ -235,3 +235,10 @@ def test_bad_sample_or_worker_count(capsys, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert "must be at least 1" in err
+
+
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_bad_spans_sample_count(capsys, count):
+    code, err = run_err(capsys, "schubert", "spans", "--spans-samples", count)
+    assert code == 1
+    assert err.startswith("error: samples must be at least 1")

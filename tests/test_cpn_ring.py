@@ -199,6 +199,15 @@ class TestMultiply:
         x = RingElement.monomial(3, 1, 1)
         assert RingElement.one(3) * x == x
 
+    def test_power(self):
+        s = RingElement.s(3)
+        assert s ** 0 == RingElement.one(3)
+        assert s ** 3 == s * s * s
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            RingElement.s(3) ** -1
+
     def test_truncation_above_top_degree(self):
         t = RingElement.t(2)
         assert (t ** 5).is_zero()
@@ -340,6 +349,12 @@ class TestTasaki:
     def test_domain_checked(self):
         with pytest.raises(ValueError):
             cp.tasaki_kernel_d2(2, 2, 0)
+
+    @pytest.mark.parametrize("x, y", [(-0.1, 0.5), (0.5, 1.5),
+                                      (float("nan"), 0.5)])
+    def test_mc_domain_checked(self, x, y):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            cp.mc_tasaki_kernel_d2(2, x, y, 100, seed=0)
 
     def test_mc_matches_closed_form(self):
         est = cp.mc_tasaki_kernel_d2(2, 0.5, 0.5, 200000, seed=3)

@@ -217,6 +217,30 @@ class TestRunBlocks:
             sp.run_blocks(samples, 0, block_fn, workers)
         assert calls == []
 
+    def test_standard_error_with_large_offset(self):
+        # sum(x^2) - n mean^2 cancels to 0 here; the merged block M2 does not
+        def block_fn(b, size):
+            return sp.block_stats(1e8 + sp.substream(5, 0, b).random(size))
+
+        samples = 100000
+        est = sp.run_blocks(samples, 5, block_fn)
+        vals = np.concatenate([
+            1e8 + sp.substream(5, 0, b).random(min(sp.BLOCK, samples - start))
+            for b, start in enumerate(range(0, samples, sp.BLOCK))])
+        assert est.mean == pytest.approx(vals.mean(), rel=1e-15)
+        assert est.std_error == pytest.approx(
+            vals.std(ddof=1) / math.sqrt(samples), rel=0.01)
+        assert est.std_error == pytest.approx(1 / math.sqrt(12 * samples),
+                                              rel=0.01)
+
+    def test_merge_is_independent_of_workers(self):
+        def block_fn(b, size):
+            return sp.block_stats(sp.substream(6, 0, b).exponential(size=size))
+
+        one = sp.run_blocks(50000, 6, block_fn, workers=1)
+        three = sp.run_blocks(50000, 6, block_fn, workers=3)
+        assert one == three
+
 
 class TestMcWedgeLength:
     def test_ball_pair_in_r2(self):
@@ -235,6 +259,12 @@ class TestMcWedgeLength:
         est = sp.mc_wedge_length([z, sp.gaussian_ball(2)], 1000, seed=13)
         assert est.mean == 0.0
         assert est.std_error == 0.0
+
+    @pytest.mark.parametrize("samples, workers", [(0, 1), (10, 0)])
+    def test_zero_scale_counts_checked(self, samples, workers):
+        z = sp.SamplerZonoid(0.0, sp.GaussianSampler(2))
+        with pytest.raises(ValueError, match="must be at least 1"):
+            sp.mc_wedge_length([z], samples, seed=1, workers=workers)
 
     def test_worker_independence(self):
         b = sp.gaussian_ball(2)

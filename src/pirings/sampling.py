@@ -36,6 +36,8 @@ class Estimate:
     samples: int
     seed: int
     max_value: float | None = field(default=None, compare=False)
+    # estimates this one is combined from, by name
+    components: dict = field(default_factory=dict)
 
     def ci(self, z=DEFAULT_Z):
         return (self.mean - z * self.std_error, self.mean + z * self.std_error)
@@ -312,8 +314,12 @@ def run_blocks(samples, seed, block_fn, workers=1):
     return Estimate(mean, math.sqrt(var / samples), samples, seed, top)
 
 
-def mc_wedge_length(zs, samples, seed, workers=1):
-    """Monte-Carlo estimate of the length of the wedge of sampler zonoids."""
+def mc_wedge_length(zs, samples, seed, workers=1, first_slot=0):
+    """Monte-Carlo estimate of the length of the wedge of sampler zonoids.
+
+    Zonoid i draws from slot first_slot + i of the seed, so estimators
+    that share a seed can keep their streams apart.
+    """
     zs = list(zs)
     n = zs[0].ambient_dim
     deg = sum(z.degree for z in zs)
@@ -329,7 +335,7 @@ def mc_wedge_length(zs, samples, seed, workers=1):
         if scale == 0.0:
             return block_stats(np.zeros(size))
         draws = [z.sampler.draw(substream(seed, slot, b), size)
-                 for slot, z in enumerate(zs)]
+                 for slot, z in enumerate(zs, first_slot)]
         return block_stats(
             scale * _gram_root_det(np.concatenate(draws, axis=1)))
 

@@ -237,11 +237,14 @@ def duality_nonvanishing(lam, mu, k, m):
     return is_dual
 
 
-def mc_schubert_shape(lams, k, m, samples, seed, workers=1):
-    """Monte-Carlo mean of ||h_1 v_1 ^ ... ^ h_s v_s|| over independent rotations."""
+def mc_schubert_shape(lams, k, m, samples, seed, workers=1, first_slot=0):
+    """Monte-Carlo mean of ||h_1 v_1 ^ ... ^ h_s v_s|| over independent rotations.
+
+    Diagram i draws its rotations from slot first_slot + i of the seed.
+    """
     zs = [SamplerZonoid(1.0, SchubertSampler(as_diagram(l).parts, k, m))
           for l in lams]
-    return mc_wedge_length(zs, samples, seed, workers)
+    return mc_wedge_length(zs, samples, seed, workers, first_slot)
 
 
 def verify_span_decomposition(k, m, d, samples=200, tol=1e-9, seed=0):
@@ -322,6 +325,7 @@ def edeg22_calibrated(samples, seed, workers=1, z=3.0):
     expectation: E4 over four single-box conditions, D11/D22 over the
     two self-dual pairs, D3/D4 over a complementary pair plus two boxes.
     Standard errors are propagated through the quotient at first order.
+    All five estimators use the one seed, each diagram on its own slot.
     """
     shapes = {
         "E4": [(1,), (1,), (1,), (1,)],
@@ -331,9 +335,11 @@ def edeg22_calibrated(samples, seed, workers=1, z=3.0):
         "D4": [(2,), (1,), (1,)],
     }
     ests = {}
-    for slot, (name, lams) in enumerate(shapes.items()):
-        ests[name] = mc_schubert_shape(
-            lams, 2, 2, samples, seed + slot, workers)
+    slot = 0
+    for name, lams in shapes.items():
+        ests[name] = mc_schubert_shape(lams, 2, 2, samples, seed, workers,
+                                       first_slot=slot)
+        slot += len(lams)
     e4, d11, d22, d3, d4 = (ests[k].mean for k in
                             ("E4", "D11", "D22", "D3", "D4"))
     value = e4 * math.sqrt(d11 * d22) / (d3 * d4)
@@ -344,9 +350,8 @@ def edeg22_calibrated(samples, seed, workers=1, z=3.0):
         + (ests["D3"].std_error / d3) ** 2
         + (ests["D4"].std_error / d4) ** 2
     )
-    est = Estimate(value, value * math.sqrt(rel_var), samples, seed)
-    est.components = {k: v for k, v in ests.items()}
-    return est
+    return Estimate(value, value * math.sqrt(rel_var), samples, seed,
+                    components=ests)
 
 
 def asymptotic_edeg2(m):

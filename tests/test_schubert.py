@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import pytest
 
+from pirings import sampling as sp
 from pirings import schubert as sb
 from pirings.schubert import YoungDiagram
 
@@ -172,6 +174,34 @@ class TestEdeg:
         # true value ~ 1.7262; loose window for a quick run
         assert abs(est.mean - 1.726) < 5 * est.std_error + 0.01
         assert set(est.components) == {"E4", "D11", "D22", "D3", "D4"}
+
+    def test_streams_of_neighbouring_seeds_are_disjoint(self, monkeypatch):
+        used = []
+        substream = sp.substream
+
+        def recording(seed, slot, block=0):
+            used.append((seed, slot, block))
+            return substream(seed, slot, block)
+
+        monkeypatch.setattr(sp, "substream", recording)
+        runs = {}
+        for seed in (5, 6):
+            used.clear()
+            sb.edeg22_calibrated(100, seed)
+            runs[seed] = set(used)
+            # one key per run, and each of the 14 diagrams on its own slot
+            assert {k for k, _, _ in used} == {seed}
+            assert len(used) == len(runs[seed]) == 14
+        assert not runs[5] & runs[6]
+
+    def test_components_field_and_worker_identity(self):
+        assert "components" in {f.name for f in
+                                dataclasses.fields(sp.Estimate)}
+        one = sb.edeg22_calibrated(20000, seed=3, workers=1)
+        two = sb.edeg22_calibrated(20000, seed=3, workers=2)
+        assert one == two
+        assert one.components == two.components
+        assert all(c.seed == 3 for c in one.components.values())
 
     def test_asymptotic_value(self):
         assert sb.asymptotic_edeg2(1) == pytest.approx(

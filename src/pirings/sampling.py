@@ -98,7 +98,7 @@ def _columns_first(g):
     return np.moveaxis(g, (-1, -2), (0, 1))
 
 
-def _columns(n, cols):
+def _check_cols(n, cols):
     cols = n if cols is None else cols
     if not 0 <= cols <= n:
         raise ValueError(f"cols must lie in [0, {n}], got {cols}")
@@ -113,7 +113,7 @@ def haar_orthogonal(n, rng, size=None, cols=None):
     the Q factor of QR with the signs of diag(R) made positive, which is
     Haar distributed (Mezzadri 2007).
     """
-    cols = _columns(n, cols)
+    cols = _check_cols(n, cols)
     shape = (n, n) if size is None else (size, n, n)
     g = rng.standard_normal(shape)
     return _gram_schmidt(_columns_first(g[..., :cols]).copy())
@@ -128,7 +128,7 @@ def haar_unitary_realified(n, rng, size=None, cols=None):
     drawn, and the Gram-Schmidt Q is QR's Q with the phases of diag(R)
     removed (Mezzadri 2007).
     """
-    cols = _columns(n, cols)
+    cols = _check_cols(n, cols)
     shape = (n, n) if size is None else (size, n, n)
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)

@@ -199,11 +199,6 @@ class TestMultiply:
         x = RingElement.monomial(3, 1, 1)
         assert RingElement.one(3) * x == x
 
-    def test_power(self):
-        s = RingElement.s(3)
-        assert s ** 0 == RingElement.one(3)
-        assert s ** 3 == s * s * s
-
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):
             RingElement.s(3) ** -1

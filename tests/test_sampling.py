@@ -233,14 +233,6 @@ class TestRunBlocks:
         assert est.std_error == pytest.approx(1 / math.sqrt(12 * samples),
                                               rel=0.01)
 
-    def test_merge_is_independent_of_workers(self):
-        def block_fn(b, size):
-            return sp.block_stats(sp.substream(6, 0, b).exponential(size=size))
-
-        one = sp.run_blocks(50000, 6, block_fn, workers=1)
-        three = sp.run_blocks(50000, 6, block_fn, workers=3)
-        assert one == three
-
 
 class TestMcWedgeLength:
     def test_ball_pair_in_r2(self):

@@ -13,12 +13,10 @@ import functools
 import math
 from types import MappingProxyType
 
-import numpy as np
-
 from .exact import PiScalar, bareiss_solve
 from .exterior import ExteriorElement
-from .sampling import (Estimate, block_stats, haar_unitary_realified,
-                       run_blocks, substream)
+from .sampling import (block_stats, haar_unitary_realified, run_blocks,
+                       substream)
 from .sphere_ring import kappa
 
 
@@ -393,6 +391,7 @@ def _v_theta(n, x):
 
     x = cos^2(t); coordinates are interleaved real/imaginary in R^(2n).
     """
+    import numpy as np
     c, s = math.sqrt(x), math.sqrt(1 - x)
     u1 = np.zeros(2 * n)
     u1[0] = 1.0
@@ -412,6 +411,7 @@ def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
     x = y = 1, where E|<h V_1, V_1>| = 1/n and the kernel is 1).
     """
     _check_tasaki_args(n, x, y)
+    import numpy as np
     # V_theta lives in coordinates 0-2, so h acts on it through its first
     # four realified columns: two complex columns
     vx = _v_theta(n, x)[:, :4]
@@ -457,7 +457,7 @@ def primitive_dims(n, d):
 
 
 __all__ = [
-    "Estimate", "RingElement", "class_codim2", "codim2_coeffs", "dimension",
+    "RingElement", "class_codim2", "codim2_coeffs", "dimension",
     "f_k", "hankel_matrix", "intersection_number", "j_set", "length",
     "length_by_degree", "mc_tasaki_kernel_d2", "monomial_length",
     "monomial_length_st", "multiply", "omega_element", "omega_norm_sq",

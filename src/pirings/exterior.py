@@ -4,14 +4,15 @@ Simple (decomposable) elements are kept as lists of factor vectors, so
 wedge norms and inner products come straight from Gram determinants.
 General elements carry sparse coordinates indexed by sorted tuples of
 basis indices (0-based).
+
+Exact input never touches numpy: it is imported only on the float paths
+(the float branch of det, span ranks and factorize_simple).
 """
 
 from fractions import Fraction
 import itertools
 import math
 import operator
-
-import numpy as np
 
 from .exact import bareiss_det, exact_sqrt, is_exact
 
@@ -27,6 +28,7 @@ def det(rows):
     """Determinant, exact when every entry is int/Fraction."""
     if all(is_exact(x) for row in rows for x in row):
         return bareiss_det(rows)
+    import numpy as np
     return float(np.linalg.det(np.array(rows, dtype=float)))
 
 
@@ -228,6 +230,7 @@ def span_rank(vs, rel_tol=DEFAULT_RANK_TOL):
         if v.ambient_dim != n or v.degree != d:
             raise ValueError("mixed ambient dimension or degree")
     _check_cap(n, d)
+    import numpy as np
     keys = list(itertools.combinations(range(n), d))
     key_pos = {k: i for i, k in enumerate(keys)}
     mat = np.zeros((len(vs), len(keys)))
@@ -239,6 +242,7 @@ def span_rank(vs, rel_tol=DEFAULT_RANK_TOL):
 
 def rank_of_matrix(mat, rel_tol=DEFAULT_RANK_TOL):
     """Rank by SVD; singular values below rel_tol * sigma_max count as zero."""
+    import numpy as np
     if mat.size == 0:
         return 0
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -264,6 +268,7 @@ def factorize_simple(elem):
                  for j in range(n)]
         basis[0] = [c * x for x in basis[0]]
         return SimpleVector(n, basis)
+    import numpy as np
     # the span of a simple element x is the kernel of v -> v ^ x
     cols = []
     for j in range(n):

@@ -9,13 +9,15 @@ blocks are scheduled across workers.
 
 Gaussians come from numpy's ziggurat implementation; spheres are
 normalized Gaussians.
+
+numpy is imported inside the functions that build arrays, not at module
+level, so that the exact commands of the CLI, which import this module
+but draw nothing, start without it.  Each estimator imports it on the
+calling thread before run_blocks starts any worker.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import math
-
-import numpy as np
 
 from .exterior import SimpleVector
 
@@ -25,6 +27,7 @@ DEFAULT_Z = 3.0
 
 def substream(seed, slot, block=0):
     """Independent generator for the given (seed, slot, block) triple."""
+    import numpy as np
     counter = (int(slot) << 128) | (int(block) << 64)
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
@@ -54,15 +57,6 @@ class Estimate:
         }
 
 
-def complex_structure(n):
-    """The matrix J of multiplication by i on R^(2n), J^2 = -I."""
-    j = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        j[2 * k + 1, 2 * k] = 1.0
-        j[2 * k, 2 * k + 1] = -1.0
-    return j
-
-
 def _gram_schmidt(v, pairs=False):
     """Orthonormalise the columns v[0], v[1], ... in place, batched.
 
@@ -81,6 +75,7 @@ def _gram_schmidt(v, pairs=False):
     the real span of q_k and i q_k is the complex projection onto q_k,
     and i q_j is orthogonal to q_j already.
     """
+    import numpy as np
     step = 2 if pairs else 1
     for j in range(0, v.shape[0], step):
         for _ in range(2 if j else 0):
@@ -95,6 +90,7 @@ def _gram_schmidt(v, pairs=False):
 
 def _columns_first(g):
     """(*batch, N, c) -> (c, N, *batch), the layout _gram_schmidt works in."""
+    import numpy as np
     return np.moveaxis(g, (-1, -2), (0, 1))
 
 
@@ -128,6 +124,7 @@ def haar_unitary_realified(n, rng, size=None, cols=None):
     drawn, and the Gram-Schmidt Q is QR's Q with the phases of diag(R)
     removed (Mezzadri 2007).
     """
+    import numpy as np
     cols = _check_cols(n, cols)
     shape = (n, n) if size is None else (size, n, n)
     re = rng.standard_normal(shape)
@@ -157,22 +154,9 @@ class SphereSampler:
         self.degree = 1
 
     def draw(self, rng, size):
+        import numpy as np
         g = rng.standard_normal((size, 1, self.ambient_dim))
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-
-class ComplexLineSampler:
-    """Uniform complex line in C^n as a degree-2 simple vector in R^(2n)."""
-
-    def __init__(self, n):
-        self.n = n
-        self.ambient_dim = 2 * n
-        self.degree = 2
-
-    def draw(self, rng, size):
-        # images of e_1 and of i e_1: the realified first column
-        m = haar_unitary_realified(self.n, rng, size, cols=1)
-        return np.stack([m[:, :, 0], m[:, :, 1]], axis=1)
 
 
 class SchubertSampler:
@@ -195,6 +179,7 @@ class SchubertSampler:
         self.boxes = [(i, j) for i, p in enumerate(parts) for j in range(p)]
 
     def draw(self, rng, size):
+        import numpy as np
         q = haar_orthogonal(self.k, rng, size, cols=len(self.parts))
         r = haar_orthogonal(self.m, rng, size,
                             cols=self.parts[0] if self.parts else 0)
@@ -218,6 +203,7 @@ class DiscreteAtomSampler:
             raise ValueError("needs nonnegative weights")
         if z.degree != 1:
             raise ValueError("degree-1 atoms only")
+        import numpy as np
         self.ambient_dim = z.ambient_dim
         self.degree = 1
         m = len(z.atoms)
@@ -248,12 +234,6 @@ def gaussian_ball(ambient_dim):
     return SamplerZonoid(math.sqrt(2 * math.pi), GaussianSampler(ambient_dim))
 
 
-def sample_complex_line(n, rng):
-    """One draw of the complex-line simple vector (g e1, g(i e1))."""
-    arr = ComplexLineSampler(n).draw(rng, 1)[0]
-    return SimpleVector(2 * n, [tuple(row) for row in arr])
-
-
 def sample_schubert(parts, k, m, rng):
     """One draw of the rotated Schubert simple vector for a diagram."""
     s = SchubertSampler(parts, k, m)
@@ -263,6 +243,7 @@ def sample_schubert(parts, k, m, rng):
 
 def _gram_root_det(x):
     """sqrt(det(X X^T)) batched over the leading axis; |det X| when square."""
+    import numpy as np
     d, n = x.shape[-2], x.shape[-1]
     if d == 0:
         return np.ones(x.shape[0])
@@ -298,6 +279,7 @@ def run_blocks(samples, seed, block_fn, workers=1):
     nblocks = (samples + BLOCK - 1) // BLOCK
     sizes = [min(BLOCK, samples - b * BLOCK) for b in range(nblocks)]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(block_fn, range(nblocks), sizes))
     else:
@@ -320,6 +302,7 @@ def mc_wedge_length(zs, samples, seed, workers=1, first_slot=0):
     Zonoid i draws from slot first_slot + i of the seed, so estimators
     that share a seed can keep their streams apart.
     """
+    import numpy as np
     zs = list(zs)
     n = zs[0].ambient_dim
     deg = sum(z.degree for z in zs)
@@ -344,6 +327,7 @@ def mc_wedge_length(zs, samples, seed, workers=1, first_slot=0):
 
 def mc_pairing(a, b, samples, seed, workers=1):
     """Monte-Carlo estimate of the zonoid pairing <a, b> = E|<xi, zeta>|."""
+    import numpy as np
     if a.degree != b.degree or a.ambient_dim != b.ambient_dim:
         raise ValueError("degree mismatch")
     scale = a.scale * b.scale

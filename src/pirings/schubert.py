@@ -10,8 +10,6 @@ from fractions import Fraction
 import itertools
 import math
 
-import numpy as np
-
 from .exterior import SimpleVector, span_rank, wedge_inner
 from .sampling import (
     Estimate,
@@ -256,6 +254,7 @@ def verify_span_decomposition(k, m, d, samples=200, tol=1e-9, seed=0):
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    import numpy as np
     diagrams = [YoungDiagram(p) for p in _partitions(d, k, m)]
     report = {"k": k, "m": m, "d": d, "orbits": {}, "wedges": {}, "ok": True}
     mats = {}
@@ -306,6 +305,7 @@ def verify_span_decomposition(k, m, d, samples=200, tol=1e-9, seed=0):
 
 
 def _coord_matrix(vs):
+    import numpy as np
     from .exterior import expand
     n, d = vs[0].ambient_dim, vs[0].degree
     keys = list(itertools.combinations(range(n), d))

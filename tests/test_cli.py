@@ -1,7 +1,13 @@
 import json
+import os
+from pathlib import Path
+import shlex
+import subprocess
+import sys
 
 import pytest
 
+import pirings
 from pirings.cli import main
 
 
@@ -30,6 +36,13 @@ SQUARE = {
         {"w": 1, "v": [[0, 1]]},
     ],
 }
+LINE = {"ambient": 2, "degree": 1, "atoms": [{"w": 1, "v": [[1, 1]]}]}
+
+
+def write_inputs(directory):
+    """square.json and line.json, the files the README examples read."""
+    (directory / "square.json").write_text(json.dumps(SQUARE))
+    (directory / "line.json").write_text(json.dumps(LINE))
 
 
 class TestCpn:
@@ -242,3 +255,88 @@ def test_bad_spans_sample_count(capsys, count):
     code, err = run_err(capsys, "schubert", "spans", "--spans-samples", count)
     assert code == 1
     assert err.startswith("error: samples must be at least 1")
+
+
+# Exact commands must not import numpy: it costs more start-up time than
+# the rest of the package.  pytest has numpy loaded already, so each
+# command runs in a fresh interpreter.
+_NUMPY_PROBE = """\
+import sys
+from pirings.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(f"exit={code} numpy={'numpy' in sys.modules}", file=sys.stderr)
+"""
+
+
+def probe_numpy(argv, cwd):
+    """'exit=<code> numpy=<loaded>' after running main(argv) in a new process."""
+    src = str(Path(pirings.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
+    return proc.stderr.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("cpn", "selfint", "--n", "3", "--d", "3", "--delta", "0"),
+    ("cpn", "relations", "--n", "4"),
+    ("cpn", "basis", "--n", "3"),
+    ("cpn", "multiply", "--n", "2", "--a", "s", "--b", "s"),
+    ("cpn", "length", "--n", "2", "--expr", "gamma"),
+    ("cpn", "tasaki", "--n", "2", "--x", "0.5", "--y", "0.5"),
+    ("zonoid", "mixed-volume", "-f", "square.json"),
+    ("zonoid", "length", "-f", "square.json"),
+    ("zonoid", "crofton", "--L", "line.json", "--K", "square.json"),
+    ("sphere", "ball-table", "--N", "4"),
+    ("sphere", "expected-count", "--n", "2"),
+    ("schubert", "lr", "--a", "2,1", "--b", "2,1"),
+], ids=" ".join)
+def test_exact_command_does_not_import_numpy(tmp_path, argv):
+    write_inputs(tmp_path)
+    assert probe_numpy(argv, tmp_path) == "exit=0 numpy=False"
+
+
+def test_monte_carlo_command_imports_numpy(tmp_path):
+    argv = ("cpn", "tasaki", "--n", "2", "--mc", "--samples", "1000")
+    assert probe_numpy(argv, tmp_path) == "exit=0 numpy=True"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_SAMPLES_CAP = 20000  # a smoke test; accuracy is pinned elsewhere
+MIXED_PI_POWERS = (
+    "RingElement carries one pi_scale, so gamma - 1/2*beta^2 (terms with "
+    "different powers of pi) is rejected until the pi-graded coefficient "
+    "type of ROADMAP item 4 lands")
+
+
+def readme_commands():
+    """The `pirings ...` lines of the README's "Command line" code block."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```sh", 1)[1].split("```", 1)[0]
+    return [line[len("pirings "):] for line in block.splitlines()
+            if line.startswith("pirings ")]
+
+
+def _readme_case(command):
+    if command == 'cpn length --n 2 --expr "gamma - 1/2*beta^2"':
+        return pytest.param(command, marks=pytest.mark.xfail(
+            strict=True, reason=MIXED_PI_POWERS))
+    return command
+
+
+@pytest.mark.parametrize("command", [_readme_case(c) for c in readme_commands()])
+def test_readme_command_runs(capsys, monkeypatch, tmp_path, command):
+    argv = shlex.split(command)
+    if "--samples" in argv:
+        i = argv.index("--samples") + 1
+        argv[i] = str(min(int(argv[i]), README_SAMPLES_CAP))
+    write_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert "provenance" in run_json(capsys, *argv)

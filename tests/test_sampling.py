@@ -79,6 +79,15 @@ class TestHaarOrthogonal:
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
 
+def complex_structure(n):
+    """The matrix J of multiplication by i on R^(2n), J^2 = -I."""
+    j = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        j[2 * k + 1, 2 * k] = 1.0
+        j[2 * k, 2 * k + 1] = -1.0
+    return j
+
+
 class TestHaarUnitary:
     def test_realified_orthogonal(self):
         rng = sp.substream(4, 0)
@@ -89,7 +98,7 @@ class TestHaarUnitary:
     def test_commutes_with_complex_structure(self):
         rng = sp.substream(5, 0)
         m = sp.haar_unitary_realified(3, rng, size=20)
-        j = sp.complex_structure(3)
+        j = complex_structure(3)
         assert np.abs(m @ j - j @ m).max() < 1e-12
 
     def test_u1_angles_uniform(self):
@@ -103,7 +112,7 @@ class TestHaarUnitary:
         assert stats.kstest(angles, "uniform").pvalue > 0.01
 
     def test_complex_structure_squares_to_minus_identity(self):
-        j = sp.complex_structure(4)
+        j = complex_structure(4)
         assert np.array_equal(j @ j, -np.eye(8))
 
 
@@ -169,25 +178,6 @@ class TestHaarMatchesQr:
         for haar in (sp.haar_orthogonal, sp.haar_unitary_realified):
             with pytest.raises(ValueError, match="cols must lie in"):
                 haar(3, sp.substream(0, 0), 5, cols=cols)
-
-
-class TestComplexLine:
-    def test_unit_norm_pair(self):
-        rng = sp.substream(7, 0)
-        arr = sp.ComplexLineSampler(3).draw(rng, 100)
-        norms = np.linalg.norm(arr, axis=-1)
-        assert np.abs(norms - 1.0).max() < 1e-12
-
-    def test_columns_orthogonal(self):
-        rng = sp.substream(8, 0)
-        arr = sp.ComplexLineSampler(3).draw(rng, 100)
-        dots = np.einsum("sk,sk->s", arr[:, 0], arr[:, 1])
-        assert np.abs(dots).max() < 1e-12
-
-    def test_simple_vector_shape(self):
-        v = sp.sample_complex_line(2, sp.substream(9, 0))
-        assert v.ambient_dim == 4
-        assert v.degree == 2
 
 
 class TestSchubertSampler:

@@ -1,0 +1,24 @@
+"""Byte-for-byte stdout of the exact `cpn` and `sphere` commands.
+
+tests/data/golden_cli.json maps each command line to the stdout it
+printed when the file was made.  The exact coefficient type may change
+how values are held, but not what these commands print.
+"""
+
+import json
+from pathlib import Path
+import shlex
+
+import pytest
+
+from pirings.cli import main
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(GOLDEN))
+def test_stdout_unchanged(capsys, monkeypatch, command):
+    monkeypatch.delenv("ZONOID_SEED", raising=False)
+    assert main(shlex.split(command)) == 0
+    assert capsys.readouterr().out == GOLDEN[command]

@@ -41,13 +41,20 @@ def _frac(x):
 
 
 def _ring_to_json(e):
-    out = {
-        "n": e.n,
-        "monomials": {f"s^{j}*t^{d - 2 * j}": _frac(c)
-                      for (d, j), c in sorted(e.coeffs.items())},
-    }
-    if not (e.pi_scale.coeff == 1 and e.pi_scale.pi_exp == 0):
-        out["pi_scale"] = e.pi_scale.to_json()
+    """Rational coefficients and a common "pi_scale" pi^e (left out when e
+    is 0) if all terms share e; else lists of {"coeff", "pi_exp"} terms."""
+    exps = {pi_exp for _, _, pi_exp in e.coeffs}
+    monomials = {}
+    for (d, j, pi_exp), c in sorted(e.coeffs.items()):
+        key = f"s^{j}*t^{d - 2 * j}"
+        if len(exps) > 1:
+            monomials.setdefault(key, []).append(
+                PiScalar(c, pi_exp).to_json())
+        else:
+            monomials[key] = _frac(c)
+    out = {"n": e.n, "monomials": monomials}
+    if len(exps) == 1 and exps != {0}:
+        out["pi_scale"] = PiScalar(1, exps.pop()).to_json()
     return out
 
 
@@ -293,8 +300,6 @@ def cmd_sphere(args):
 def _num(x):
     if isinstance(x, Fraction):
         return str(x)
-    if isinstance(x, PiScalar):
-        return x.to_json()
     return x
 
 

@@ -4,8 +4,9 @@ The ring is R[beta, gamma] modulo two relations; a monomial basis in
 degree d is s^j t^(d-2j) for j in J(n, d), where t and s are the
 rescaled generators t = pi^(-2/3) beta, s = pi^(2/3) gamma.  In this
 basis the linear systems used to reduce out-of-basis monomials have
-integer Hankel matrices, so all ring arithmetic is exact rational;
-powers of pi reappear only in the length functional.
+integer Hankel matrices, so all ring arithmetic is exact rational.  The
+powers of pi that beta and gamma bring are carried term by term, and
+exact values that mix them are PiScalars.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from .exact import PiScalar, bareiss_solve
 from .exterior import ExteriorElement
 from .sampling import (block_stats, haar_unitary_realified, run_blocks,
                        substream)
-from .sphere_ring import kappa
+from .sphere_ring import ball_wedge_length
 
 
 def j_set(n, d):
@@ -45,9 +46,7 @@ def monomial_length(n, j, i):
     if j > n or 2 * j + i > 2 * n:
         return PiScalar(0)
     base = PiScalar(Fraction(math.factorial(n), math.factorial(n - j)), -j)
-    m = 2 * (n - j)
-    fac = Fraction(math.factorial(m), math.factorial(m - i))
-    return base * fac * kappa(m) / kappa(m - i)
+    return ball_wedge_length(2 * n, 2 * j, i, base)
 
 
 def monomial_length_st(n, j, i):
@@ -95,25 +94,24 @@ def reduce_monomial(n, big_j, tpow):
 
 
 class RingElement:
-    """Element with exact rational coefficients over the (s, t) basis.
+    """Element of the ring of CP^n over the (s, t) basis.
 
-    coeffs maps (degree, j) to a Fraction.  pi_scale is a global
-    PiScalar factor, so elements like gamma = pi^(-2/3) s stay exact.
+    coeffs maps (degree, j, e) to a nonzero Fraction c, the term
+    c pi^e s^j t^(degree - 2j); e is a Fraction.  Terms with different
+    powers of pi sit side by side, so gamma = pi^(-2/3) s and
+    beta = pi^(2/3) t stay exact and can be added freely.
     """
 
-    def __init__(self, n, coeffs=None, pi_scale=None):
+    def __init__(self, n, coeffs=None):
         self.n = n
-        self.pi_scale = pi_scale if pi_scale is not None else PiScalar(1)
         self.coeffs = {}
         if coeffs:
-            for (d, j), c in coeffs.items():
+            for (d, j, e), c in coeffs.items():
                 if j not in j_set(n, d):
                     raise ValueError(f"index {(d, j)} outside the basis")
                 c = Fraction(c)
                 if c != 0:
-                    self.coeffs[(d, j)] = c
-        if not self.coeffs:
-            self.pi_scale = PiScalar(1)
+                    self.coeffs[(d, j, e)] = c
 
     @classmethod
     def zero(cls, n):
@@ -121,7 +119,7 @@ class RingElement:
 
     @classmethod
     def one(cls, n):
-        return cls(n, {(0, 0): 1})
+        return cls(n, {(0, 0, Fraction(0)): 1})
 
     @classmethod
     def t(cls, n, power=1):
@@ -145,44 +143,30 @@ class RingElement:
     def monomial(cls, n, s_exp, t_exp, coeff=1):
         red = reduce_monomial(n, s_exp, t_exp)
         d = 2 * s_exp + t_exp
-        return cls(n, {(d, j): Fraction(coeff) * c for j, c in red.items()})
+        return cls(n, {(d, j, Fraction(0)): Fraction(coeff) * c
+                       for j, c in red.items()})
 
     def is_zero(self):
         return not self.coeffs
 
-    def degrees(self):
-        return sorted({d for d, _ in self.coeffs})
-
-    def homogeneous_part(self, d):
-        return RingElement(
-            self.n, {k: c for k, c in self.coeffs.items() if k[0] == d},
-            self.pi_scale)
-
     def scale(self, a):
-        if isinstance(a, PiScalar):
-            if a.is_zero():
-                return RingElement.zero(self.n)
-            return RingElement(self.n, self.coeffs, self.pi_scale * a)
-        a = Fraction(a)
-        if a == 0:
-            return RingElement.zero(self.n)
-        return RingElement(self.n, {k: a * c for k, c in self.coeffs.items()},
-                           self.pi_scale)
+        """a times self, for a rational or a PiScalar a."""
+        if not isinstance(a, PiScalar):
+            a = PiScalar(a)
+        out = {}
+        for e0, a0 in a.terms.items():
+            for (d, j, e), c in self.coeffs.items():
+                key = (d, j, e + e0)
+                out[key] = out.get(key, 0) + a0 * c
+        return RingElement(self.n, out)
 
     def __add__(self, other):
         if self.n != other.n:
             raise ValueError("mixed rings")
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        if self.pi_scale.pi_exp != other.pi_scale.pi_exp:
-            raise ValueError("cannot add elements with different pi scales")
-        a, b = self.pi_scale.coeff, other.pi_scale.coeff
-        out = {k: a * c for k, c in self.coeffs.items()}
+        out = dict(self.coeffs)
         for k, c in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + b * c
-        return RingElement(self.n, out, PiScalar(1, self.pi_scale.pi_exp))
+            out[k] = out.get(k, 0) + c
+        return RingElement(self.n, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -214,11 +198,9 @@ class RingElement:
         if not self.coeffs:
             return f"RingElement(n={self.n}, 0)"
         terms = []
-        for (d, j), c in sorted(self.coeffs.items()):
-            mono = f"s^{j} t^{d - 2 * j}"
-            terms.append(f"{c} {mono}")
-        pre = "" if self.pi_scale == PiScalar(1) else f"({self.pi_scale}) * "
-        return f"RingElement(n={self.n}, {pre}{' + '.join(terms)})"
+        for (d, j, e), c in sorted(self.coeffs.items()):
+            terms.append(f"{PiScalar(c, e)} s^{j} t^{d - 2 * j}")
+        return f"RingElement(n={self.n}, {' + '.join(terms)})"
 
 
 def multiply(a, b):
@@ -227,36 +209,35 @@ def multiply(a, b):
         raise ValueError("mixed rings")
     n = a.n
     out = {}
-    for (d1, j1), c1 in a.coeffs.items():
-        for (d2, j2), c2 in b.coeffs.items():
+    for (d1, j1, e1), c1 in a.coeffs.items():
+        for (d2, j2, e2), c2 in b.coeffs.items():
             big_j = j1 + j2
             tpow = (d1 - 2 * j1) + (d2 - 2 * j2)
             d = 2 * big_j + tpow
             if d > 2 * n:
                 continue
+            e = e1 + e2
             for j, r in reduce_monomial(n, big_j, tpow).items():
-                key = (d, j)
+                key = (d, j, e)
                 out[key] = out.get(key, Fraction(0)) + c1 * c2 * r
-    return RingElement(n, out, a.pi_scale * b.pi_scale)
+    return RingElement(n, out)
 
 
 def length_by_degree(e):
     """Length functional per degree, as exact PiScalars."""
     out = {}
-    for (d, j), c in e.coeffs.items():
-        val = monomial_length_st(e.n, j, d - 2 * j) * c
+    for (d, j, pi_exp), c in e.coeffs.items():
+        val = monomial_length_st(e.n, j, d - 2 * j) * PiScalar(c, pi_exp)
         out[d] = out.get(d, PiScalar(0)) + val
-    return {d: v * e.pi_scale for d, v in out.items() if not v.is_zero()}
+    return {d: v for d, v in out.items() if v != 0}
 
 
 def length(e):
     """Length of a homogeneous element (PiScalar); zero element gives 0."""
     by_deg = length_by_degree(e)
-    if not by_deg:
-        return PiScalar(0)
     if len(by_deg) > 1:
         raise ValueError("inhomogeneous element; use length_by_degree")
-    return next(iter(by_deg.values()))
+    return sum(by_deg.values(), PiScalar(0))
 
 
 def intersection_number(alpha, j):
@@ -289,17 +270,10 @@ def relation_beta_gamma(n):
     Coefficients are PiScalars; the key is (gamma_exp, beta_exp).
     """
     st = relation_st(n)
-    if n % 2 == 1:
-        lead = ((n + 1) // 2, 0)
-    else:
-        lead = (n // 2, 1)
-    out = {}
-    lead_exp = Fraction(2 * lead[0] - 2 * lead[1], 3)
-    for (j, i), c in st.items():
-        # s^j t^i = pi^((2j - 2i)/3) gamma^j beta^i
-        exp = Fraction(2 * j - 2 * i, 3) - lead_exp
-        out[(j, i)] = PiScalar(c, exp)
-    return out
+    # s^j t^i = pi^((2j - 2i)/3) gamma^j beta^i; the lead has the largest j
+    lead_j, lead_i = max(st)
+    return {(j, i): PiScalar(c, Fraction(2 * (j - i - lead_j + lead_i), 3))
+            for (j, i), c in st.items()}
 
 
 def relations(n):
@@ -337,10 +311,8 @@ def codim2_coeffs(n, d_x, delta_x):
 def class_codim2(n, d_x, delta_x):
     """The degree-2 ring class x_r beta^2 + x_c gamma of a codim-2 submanifold."""
     x_r, x_c = codim2_coeffs(n, d_x, delta_x)
-    # both terms share the overall scale pi^(-2/3) over the (s, t) basis
-    return RingElement(
-        n, {(2, 0): x_r.coeff, (2, 1): x_c},
-        PiScalar(1, Fraction(-2, 3)))
+    return (RingElement.beta(n, 2).scale(x_r)
+            + RingElement.gamma(n).scale(x_c))
 
 
 def self_intersection_codim2(n, d_x, delta_x):
@@ -360,9 +332,7 @@ def self_intersection_via_ring(n, d_x, delta_x):
     """Same expected count, via vol(CP^n) * l(alpha^n) in the ring."""
     alpha = class_codim2(n, d_x, delta_x)
     val = length(alpha ** n) * PiScalar(Fraction(1, math.factorial(n)), n)
-    if val.pi_exp != 0:
-        raise ArithmeticError("expected a rational value")
-    return val.coeff
+    return val.rational()
 
 
 def f_k(k):

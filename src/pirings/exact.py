@@ -1,8 +1,8 @@
 """Exact scalar arithmetic helpers.
 
 Everything in here is exact: fractions.Fraction, or Python ints inside
-the fraction-free eliminations.  Scalars that involve powers of pi are kept
-symbolic as a rational coefficient times pi**(rational exponent).
+the fraction-free eliminations.  Scalars that involve powers of pi are
+PiScalars: finite sums of rational multiples of pi**e, with e rational.
 """
 
 from fractions import Fraction
@@ -28,34 +28,6 @@ def exact_sqrt(x):
             return Fraction(p, q)
         return math.sqrt(float(f))
     return math.sqrt(x)
-
-
-def bareiss_det(matrix):
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Entries must be ints or Fractions; the result is exact.
-    """
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-            m[i][k] = Fraction(0)
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def _bareiss(m, width):
@@ -103,10 +75,21 @@ def int_det(matrix):
 
 
 def _integer_row(row):
-    """The row scaled by the lcm of its denominators, as Python ints."""
+    """(ints, scale): the row times the lcm of its denominators, and that lcm."""
     row = [x if isinstance(x, int) else Fraction(x) for x in row]
     scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+    return [x.numerator * (scale // x.denominator) for x in row], scale
+
+
+def bareiss_det(matrix):
+    """Determinant of a matrix of ints and Fractions, as a Fraction.
+
+    Each row is scaled to integers, int_det eliminates, and the product
+    of the row scales is divided back out.
+    """
+    rows = [_integer_row(row) for row in matrix]
+    return Fraction(int_det([ints for ints, _ in rows]),
+                    math.prod(scale for _, scale in rows))
 
 
 def bareiss_solve(matrix, rhs):
@@ -122,7 +105,7 @@ def bareiss_solve(matrix, rhs):
     n = len(matrix)
     if len(rhs) != n or any(len(row) != n for row in matrix):
         raise ValueError("need a square matrix and a matching right-hand side")
-    m = [_integer_row([*row, b]) for row, b in zip(matrix, rhs)]
+    m = [_integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
     if not _bareiss(m, n + 1):
         raise ValueError("singular matrix")
     det = m[n - 1][n - 1] if n else 1
@@ -152,86 +135,109 @@ def gamma_half(two_k):
 
 
 class PiScalar:
-    """A scalar of the form coeff * pi**pi_exp with rational coeff and exponent.
+    """A finite sum of rational multiples of powers of pi.
 
-    The exponents that actually occur are multiples of 1/6.  Zero is
-    normalised to exponent 0 so equality behaves.
+    terms maps each exponent e (a multiple of 1/6 in practice) to the
+    nonzero Fraction coefficient of pi**e.  pi is transcendental, so this
+    normal form is unique and == is exact.  PiScalar(coeff, pi_exp) is one
+    term.  Division and negative powers need a single-term divisor or
+    base; multiplying or dividing by a float gives a float.
     """
 
-    __slots__ = ("coeff", "pi_exp")
+    __slots__ = ("terms",)
 
     def __init__(self, coeff, pi_exp=0):
-        self.coeff = Fraction(coeff)
-        self.pi_exp = Fraction(pi_exp) if self.coeff != 0 else Fraction(0)
+        coeff = Fraction(coeff)
+        self.terms = {Fraction(pi_exp): coeff} if coeff else {}
+
+    @classmethod
+    def _sum(cls, pairs):
+        """The sum of c * pi**e over the (e, c) pairs."""
+        terms = {}
+        for e, c in pairs:
+            terms[e] = terms.get(e, 0) + c
+        out = cls.__new__(cls)
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     def __mul__(self, other):
         if isinstance(other, PiScalar):
-            return PiScalar(self.coeff * other.coeff, self.pi_exp + other.pi_exp)
+            return PiScalar._sum((e1 + e2, c1 * c2)
+                                 for e1, c1 in self.terms.items()
+                                 for e2, c2 in other.terms.items())
         if is_exact(other):
-            return PiScalar(self.coeff * other, self.pi_exp)
+            return PiScalar._sum((e, c * other) for e, c in self.terms.items())
         return float(self) * other
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, PiScalar):
-            if other.coeff == 0:
-                raise ZeroDivisionError
-            return PiScalar(self.coeff / other.coeff, self.pi_exp - other.pi_exp)
+            return self * other ** -1
         if is_exact(other):
-            return PiScalar(self.coeff / Fraction(other), self.pi_exp)
+            return self * (1 / Fraction(other))
         return float(self) / other
 
     def __add__(self, other):
         if not isinstance(other, PiScalar):
             other = PiScalar(other)
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.pi_exp != other.pi_exp:
-            raise ValueError("cannot add pi-scalars with different exponents")
-        return PiScalar(self.coeff + other.coeff, self.pi_exp)
+        return PiScalar._sum([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other):
-        if not isinstance(other, PiScalar):
-            other = PiScalar(other)
-        return self + PiScalar(-other.coeff, other.pi_exp)
+        return self + other * -1
 
     def __neg__(self):
-        return PiScalar(-self.coeff, self.pi_exp)
+        return self * -1
 
     def __pow__(self, k):
-        return PiScalar(self.coeff**k, self.pi_exp * k)
+        if k >= 0:
+            return math.prod([self] * k, start=PiScalar(1))
+        if not self.terms:
+            raise ZeroDivisionError("zero to a negative power")
+        if len(self.terms) > 1:
+            raise ArithmeticError(f"{self} is not a single power of pi")
+        (e, c), = self.terms.items()
+        return PiScalar(c**k, e * k)
 
     def __eq__(self, other):
-        if isinstance(other, PiScalar):
-            return self.coeff == other.coeff and self.pi_exp == other.pi_exp
         if is_exact(other):
-            return self == PiScalar(other)
+            other = PiScalar(other)
+        if isinstance(other, PiScalar):
+            return self.terms == other.terms
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.coeff, self.pi_exp))
+        # a rational value equals its Fraction, so it must hash like it
+        if self.terms.keys() <= {0}:
+            return hash(self.rational())
+        return hash(frozenset(self.terms.items()))
 
     def __float__(self):
-        return float(self.coeff) * math.pi ** float(self.pi_exp)
+        return float(sum(float(c) * math.pi ** float(e)
+                         for e, c in sorted(self.terms.items())))
 
-    def is_zero(self):
-        return self.coeff == 0
+    def rational(self):
+        """The value as a Fraction; ArithmeticError if a power of pi is left."""
+        if any(e != 0 for e in self.terms):
+            raise ArithmeticError(f"{self} is not rational")
+        return self.terms.get(0, Fraction(0))
 
     def __repr__(self):
-        if self.pi_exp == 0:
-            return f"PiScalar({self.coeff})"
-        return f"PiScalar({self.coeff}, pi_exp={self.pi_exp})"
+        return f"PiScalar({self})"
 
     def __str__(self):
-        if self.pi_exp == 0:
-            return str(self.coeff)
-        return f"{self.coeff} * pi^({self.pi_exp})"
+        return " + ".join(
+            str(c) if e == 0 else f"{c} * pi^({e})"
+            for e, c in sorted(self.terms.items())) or "0"
 
     def to_json(self):
-        d = {"coeff": str(self.coeff)}
-        if self.pi_exp != 0:
-            d["pi_exp"] = str(self.pi_exp)
-        return d
+        """{"coeff": "p/q", "pi_exp": "e"} for a single term, with pi_exp
+        left out when e is 0; a list of those, by exponent, for a sum."""
+        if len(self.terms) > 1:
+            return [PiScalar(c, e).to_json()
+                    for e, c in sorted(self.terms.items())]
+        (e, c), = self.terms.items() or [(0, 0)]
+        out = {"coeff": str(c)}
+        if e != 0:
+            out["pi_exp"] = str(e)
+        return out

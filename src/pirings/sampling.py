@@ -1,4 +1,4 @@
-"""Seeded samplers and Monte-Carlo estimators for zonoid lengths and pairings.
+"""Seeded samplers and Monte-Carlo estimators for zonoid wedge lengths.
 
 Reproducibility contract: all randomness comes from the counter-based
 Philox generator.  Each (estimator slot, block of trials) pair gets its
@@ -7,8 +7,7 @@ those in the high words of the Philox counter.  Trials are processed in
 fixed-size blocks, so the result is bit-identical regardless of how the
 blocks are scheduled across workers.
 
-Gaussians come from numpy's ziggurat implementation; spheres are
-normalized Gaussians.
+Gaussians come from numpy's ziggurat implementation.
 
 numpy is imported inside the functions that build arrays, not at module
 level, so that the exact commands of the CLI, which import this module
@@ -146,19 +145,6 @@ class GaussianSampler:
         return rng.standard_normal((size, 1, self.ambient_dim))
 
 
-class SphereSampler:
-    """Uniform unit vector in R^N (degree 1)."""
-
-    def __init__(self, ambient_dim):
-        self.ambient_dim = ambient_dim
-        self.degree = 1
-
-    def draw(self, rng, size):
-        import numpy as np
-        g = rng.standard_normal((size, 1, self.ambient_dim))
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
-
-
 class SchubertSampler:
     """Random rotate of the coordinate Schubert simple vector in R^(k m).
 
@@ -189,32 +175,6 @@ class SchubertSampler:
                 "sa,sb->sab", q[:, :, i], r[:, :, j]
             ).reshape(size, -1)
         return out
-
-
-class DiscreteAtomSampler:
-    """Samples the law behind a discrete genuine zonoid with M atoms.
-
-    Picks an atom uniformly and scales it by M * w, which reproduces the
-    zonoid's support function in expectation.
-    """
-
-    def __init__(self, z):
-        if not z.is_genuine():
-            raise ValueError("needs nonnegative weights")
-        if z.degree != 1:
-            raise ValueError("degree-1 atoms only")
-        import numpy as np
-        self.ambient_dim = z.ambient_dim
-        self.degree = 1
-        m = len(z.atoms)
-        self.vectors = np.array(
-            [[float(w) * m * float(x) for x in v.factors[0]]
-             for w, v in z.atoms]
-        )
-
-    def draw(self, rng, size):
-        idx = rng.integers(0, len(self.vectors), size)
-        return self.vectors[idx][:, None, :]
 
 
 class SamplerZonoid:
@@ -321,21 +281,5 @@ def mc_wedge_length(zs, samples, seed, workers=1, first_slot=0):
                  for slot, z in enumerate(zs, first_slot)]
         return block_stats(
             scale * _gram_root_det(np.concatenate(draws, axis=1)))
-
-    return run_blocks(samples, seed, block_fn, workers)
-
-
-def mc_pairing(a, b, samples, seed, workers=1):
-    """Monte-Carlo estimate of the zonoid pairing <a, b> = E|<xi, zeta>|."""
-    import numpy as np
-    if a.degree != b.degree or a.ambient_dim != b.ambient_dim:
-        raise ValueError("degree mismatch")
-    scale = a.scale * b.scale
-
-    def block_fn(blk, size):
-        x = a.sampler.draw(substream(seed, 0, blk), size)
-        y = b.sampler.draw(substream(seed, 1, blk), size)
-        g = np.einsum("sik,sjk->sij", x, y)
-        return block_stats(scale * np.abs(np.linalg.det(g)))
 
     return run_blocks(samples, seed, block_fn, workers)

@@ -2,7 +2,8 @@
 
 All the constants (ball volumes, zonoid lengths of balls and of wedge
 powers of balls) are exact rational multiples of powers of pi, kept
-symbolic through PiScalar.
+symbolic through PiScalar, and so are expected intersection counts with
+exact volume ratios.
 """
 
 from fractions import Fraction
@@ -15,8 +16,6 @@ def kappa(n):
     """Volume of the unit ball in R^n, kappa_0 = 1."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return PiScalar(1)
     # pi^{n/2} / Gamma(n/2 + 1)
     return PiScalar(1, Fraction(n, 2)) / gamma_half(n + 2)
 
@@ -52,7 +51,9 @@ def sphere_expected_count(n, codims, vol_ratios):
 
     codims are the codimensions d_i (summing to n) and vol_ratios the
     values vol(Y_i)/vol(S^n).  The same formula holds on RP^n with
-    ratios taken relative to vol(RP^n).
+    ratios taken relative to vol(RP^n).  The pi-dependent factor is
+    multiplied by each ratio in turn: exact ratios give the exact
+    PiScalar, and from the first float ratio on the value is a float.
     """
     codims = list(codims)
     vol_ratios = list(vol_ratios)
@@ -65,10 +66,9 @@ def sphere_expected_count(n, codims, vol_ratios):
     factor = sphere_volume(n) * ball_wedge_length(n, 0, n, 1)
     for d in codims:
         factor = factor / ball_wedge_length(n, 0, d, 1)
-    val = float(factor)
     for v in vol_ratios:
-        val *= v
-    return val
+        factor = factor * v
+    return factor
 
 
 class SphereRingElement:

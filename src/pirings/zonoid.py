@@ -297,11 +297,10 @@ def intrinsic_volume(z, d):
     # binom(n,d)/kappa_{n-d} * MV(z[d], B[n-d]); the ball factor collapses
     # the constant to an exact rational
     factor = (ball_wedge_length(n, d, n - d, 1) / kappa(n - d)
-              * math.comb(n, d) / math.factorial(n))
-    assert factor.pi_exp == 0
+              * math.comb(n, d) / math.factorial(n)).rational()
     if is_exact(ell):
-        return factor.coeff * ell
-    return float(factor.coeff) * ell
+        return factor * ell
+    return float(factor) * ell
 
 
 def exp_truncated(L, max_degree):

@@ -64,6 +64,20 @@ class TestCpn:
         assert val["coeff"] == "2"
         assert val["pi_exp"] == "-1"
 
+    def test_length_mixing_powers_of_pi(self, capsys):
+        # the README example: 2 pi^-1 - 3 pi, one term per power of pi
+        data = run_json(capsys, "cpn", "length", "--n", "2",
+                        "--expr", "gamma - 1/2*beta^2")
+        assert data["length_by_degree"] == {"2": [
+            {"coeff": "2", "pi_exp": "-1"}, {"coeff": "-3", "pi_exp": "1"}]}
+
+    def test_multiply_mixing_powers_of_pi(self, capsys):
+        data = run_json(capsys, "cpn", "multiply", "--n", "2",
+                        "--a", "s + beta", "--b", "t")
+        assert data["product"] == {"n": 2, "monomials": {
+            "s^0*t^2": [{"coeff": "1", "pi_exp": "2/3"}],
+            "s^0*t^3": [{"coeff": "1/3"}]}}
+
     def test_selfint(self, capsys):
         data = run_json(capsys, "cpn", "selfint", "--n", "3",
                         "--d", "3", "--delta", "0")
@@ -310,10 +324,6 @@ def test_monte_carlo_command_imports_numpy(tmp_path):
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 README_SAMPLES_CAP = 20000  # a smoke test; accuracy is pinned elsewhere
-MIXED_PI_POWERS = (
-    "RingElement carries one pi_scale, so gamma - 1/2*beta^2 (terms with "
-    "different powers of pi) is rejected until the pi-graded coefficient "
-    "type of ROADMAP item 4 lands")
 
 
 def readme_commands():
@@ -324,14 +334,7 @@ def readme_commands():
             if line.startswith("pirings ")]
 
 
-def _readme_case(command):
-    if command == 'cpn length --n 2 --expr "gamma - 1/2*beta^2"':
-        return pytest.param(command, marks=pytest.mark.xfail(
-            strict=True, reason=MIXED_PI_POWERS))
-    return command
-
-
-@pytest.mark.parametrize("command", [_readme_case(c) for c in readme_commands()])
+@pytest.mark.parametrize("command", readme_commands())
 def test_readme_command_runs(capsys, monkeypatch, tmp_path, command):
     argv = shlex.split(command)
     if "--samples" in argv:

@@ -129,12 +129,38 @@ class TestReduceMonomial:
         assert cp.reduce_monomial(4, 3, 0) == cramer_reduce(4, 3, 0)
 
 
+PI_EXPS = [Fraction(k, 3) for k in (-2, 0, 2, 4)]
+
+
 def ring_elements(n):
-    """Random elements of the ring of CP^n with rational coefficients."""
-    keys = [(d, j) for d in range(2 * n + 1) for j in cp.j_set(n, d)]
+    """Random elements of the ring of CP^n, mixing powers of pi."""
+    keys = [(d, j, e) for d in range(2 * n + 1) for j in cp.j_set(n, d)
+            for e in PI_EXPS]
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     return st.dictionaries(st.sampled_from(keys), coeff, max_size=4).map(
         lambda c: RingElement(n, c))
+
+
+@st.composite
+def generator_sums(draw, n):
+    """Sums of c * s^a t^b beta^p gamma^q, built through the generators."""
+    total = RingElement.zero(n)
+    for _ in range(draw(st.integers(1, 3))):
+        term = RingElement.one(n).scale(
+            Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 4))))
+        for gen in ("s", "t", "beta", "gamma"):
+            power = draw(st.integers(0, 2))
+            if power:
+                term = term * getattr(RingElement, gen)(n, power)
+        total = total + term
+    return total
+
+
+@st.composite
+def generator_triples(draw):
+    n = draw(st.integers(1, 5))
+    return n, draw(generator_sums(n)), draw(generator_sums(n)), draw(
+        generator_sums(n))
 
 
 @st.composite
@@ -164,6 +190,23 @@ class TestRingProperties:
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
 
+    @settings(max_examples=60, deadline=None)
+    @given(generator_triples())
+    def test_generator_sums_associative_distributive(self, nabc):
+        _, a, b, c = nabc
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_triples())
+    def test_length_is_additive(self, nabc):
+        _, a, b, _ = nabc
+        la, lb = cp.length_by_degree(a), cp.length_by_degree(b)
+        want = {d: la.get(d, PiScalar(0)) + lb.get(d, PiScalar(0))
+                for d in set(la) | set(lb)}
+        assert cp.length_by_degree(a + b) == {
+            d: v for d, v in want.items() if v != 0}
+
 
 class TestMultiply:
     def test_s_times_s_n2(self):
@@ -190,7 +233,7 @@ class TestMultiply:
                 d = rng.randint(1, n)
                 j = rng.choice(cp.j_set(n, d))
                 elems.append(RingElement(
-                    n, {(d, j): Fraction(rng.randint(1, 5))}))
+                    n, {(d, j, 0): Fraction(rng.randint(1, 5))}))
             a, b, c = elems
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
@@ -238,6 +281,15 @@ class TestRelations:
             for entry in pair:
                 assert cp.evaluate_relation_st(entry["st"], n).is_zero()
 
+    def test_beta_gamma_relations_vanish_in_ring(self):
+        # terms of F_m in (beta, gamma) carry different powers of pi
+        for m in range(1, 7):
+            rel = RingElement.zero(m)
+            for (j, i), c in cp.relation_beta_gamma(m).items():
+                rel = rel + (RingElement.gamma(m, j)
+                             * RingElement.beta(m, i)).scale(c)
+            assert rel.is_zero()
+
     def test_relations_nonzero_below(self):
         # F_{n+1} does not vanish in the ring of CP^{n+1}
         for n in range(1, 6):
@@ -253,9 +305,9 @@ class TestHardLefschetz:
                 js = cp.j_set(n, d)
                 images = []
                 for j in js:
-                    x = RingElement(n, {(d, j): Fraction(1)})
+                    x = RingElement(n, {(d, j, 0): Fraction(1)})
                     y = x * RingElement.t(n, 2 * (n - d))
-                    images.append([y.coeffs.get((2 * n - d, jj), Fraction(0))
+                    images.append([y.coeffs.get((2 * n - d, jj, 0), 0)
                                    for jj in cp.j_set(n, 2 * n - d)])
                 assert bareiss_det(images) != 0
 
@@ -267,6 +319,11 @@ class TestLength:
 
     def test_zero(self):
         assert cp.length(RingElement.zero(3)) == PiScalar(0)
+
+    def test_mixed_powers_of_pi(self):
+        # the README expression: l(gamma) = 2/pi, l(beta^2) = 6 pi
+        x = RingElement.gamma(2) - RingElement.beta(2, 2).scale(Fraction(1, 2))
+        assert cp.length(x) == PiScalar(2, -1) - PiScalar(3, 1)
 
     def test_inhomogeneous_rejected(self):
         x = RingElement.t(2) + RingElement.t(2, 2)

@@ -29,6 +29,9 @@ class TestBareiss:
         assert ex.bareiss_det([[6, 2], [2, 1]]) == 2
         assert ex.bareiss_det([[2]]) == 2
         assert ex.bareiss_det([]) == 1
+        assert ex.bareiss_det([[Fraction(1, 2), 7], [0, 0.25]]) == Fraction(1, 8)
+        for m in ([], [[2]], [[Fraction(1, 3), 1], [1, 3]]):
+            assert type(ex.bareiss_det(m)) is Fraction
 
     def test_singular(self):
         assert ex.bareiss_det([[1, 2], [2, 4]]) == 0
@@ -192,13 +195,16 @@ class TestPiScalar:
         assert (-a) == PiScalar(-2, 1)
         assert a ** 3 == PiScalar(8, 3)
 
-    def test_mixed_exponent_addition_rejected(self):
-        with pytest.raises(ValueError):
-            PiScalar(1, 1) + PiScalar(1, 2)
+    def test_mixed_exponent_sum_is_exact(self):
+        total = PiScalar(1, 1) + PiScalar(1, 2)
+        assert total.terms == {1: 1, 2: 1}
+        assert total - PiScalar(1, 2) == PiScalar(1, 1)
+        assert total != PiScalar(2, 1)
+        assert float(total) == pytest.approx(math.pi + math.pi ** 2)
 
     def test_zero_normalised(self):
         assert PiScalar(0, 5) == PiScalar(0)
-        assert PiScalar(0, 5).pi_exp == 0
+        assert PiScalar(0, 5) == 0 and hash(PiScalar(0, 5)) == hash(0)
 
     def test_float(self):
         assert float(PiScalar(2, 1)) == pytest.approx(2 * math.pi)
@@ -209,7 +215,90 @@ class TestPiScalar:
         assert PiScalar(Fraction(3, 2), -2).to_json() == {
             "coeff": "3/2", "pi_exp": "-2"}
         assert PiScalar(5).to_json() == {"coeff": "5"}
+        assert PiScalar(0).to_json() == {"coeff": "0"}
+        assert (PiScalar(-3, 1) + PiScalar(2, -1) + 4).to_json() == [
+            {"coeff": "2", "pi_exp": "-1"}, {"coeff": "4"},
+            {"coeff": "-3", "pi_exp": "1"}]
+
+    def test_hash_agrees_with_equality(self):
+        assert hash(PiScalar(3)) == hash(3)
+        assert hash(PiScalar(Fraction(1, 2))) == hash(Fraction(1, 2))
+        assert len({3, PiScalar(3)}) == 1
+        assert len({PiScalar(1, 1) + 1, PiScalar(1) + PiScalar(1, 1)}) == 1
+
+    def test_rational(self):
+        assert PiScalar(Fraction(2, 3)).rational() == Fraction(2, 3)
+        assert PiScalar(0, 4).rational() == 0
+        assert (PiScalar(2, 1) / PiScalar(4, 1)).rational() == Fraction(1, 2)
+        for value in (PiScalar(1, 1), PiScalar(1) + PiScalar(1, -1)):
+            with pytest.raises(ArithmeticError):
+                value.rational()
+
+    def test_division_needs_a_single_term(self):
+        two_terms = PiScalar(1) + PiScalar(1, 1)
+        assert two_terms / PiScalar(2, 1) == PiScalar(Fraction(1, 2), -1) + \
+            Fraction(1, 2)
+        assert two_terms / 2 == PiScalar(Fraction(1, 2)) + PiScalar(
+            Fraction(1, 2), 1)
+        with pytest.raises(ArithmeticError):
+            PiScalar(1) / two_terms
+        with pytest.raises(ArithmeticError):
+            two_terms ** -1
+        with pytest.raises(ZeroDivisionError):
+            PiScalar(1) / PiScalar(0)
+        assert two_terms ** 2 == PiScalar(1) + PiScalar(2, 1) + PiScalar(1, 2)
+
+    def test_float_operands_give_floats(self):
+        a = PiScalar(3, 1) + Fraction(1, 2)
+        assert a * 0.5 == float(a) * 0.5
+        assert 0.5 * a == float(a) * 0.5
+        assert a / 4.0 == float(a) / 4.0
 
     def test_exact_comparison(self):
         assert PiScalar(3) == 3
         assert PiScalar(3, 1) != 3
+
+
+exponents = st.sampled_from([Fraction(k, 6) for k in range(-12, 13)])
+pi_scalars = st.dictionaries(exponents, rationals, max_size=4).map(
+    lambda terms: sum((PiScalar(c, e) for e, c in terms.items()),
+                      PiScalar(0)))
+
+
+def magnitude(x):
+    """Sum of the absolute values of the terms, a scale for float checks."""
+    return sum(abs(float(c)) * math.pi ** float(e)
+               for e, c in x.terms.items())
+
+
+class TestPiScalarProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(pi_scalars, pi_scalars, pi_scalars)
+    def test_ring_axioms(self, a, b, c):
+        zero, one = PiScalar(0), PiScalar(1)
+        assert a + b == b + a
+        assert (a + b) + c == a + (b + c)
+        assert a + zero == a and a - a == zero and -(-a) == a
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * one == a and a * zero == zero
+        assert a * (b + c) == a * b + a * c
+        assert hash((a + b) - b) == hash(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pi_scalars, pi_scalars, rationals)
+    def test_float_homomorphism(self, a, b, q):
+        tol = 1e-12
+        assert abs(float(a + b) - (float(a) + float(b))) <= tol * (
+            magnitude(a) + magnitude(b))
+        assert abs(float(a * b) - float(a) * float(b)) <= tol * (
+            magnitude(a) * magnitude(b))
+        assert abs(float(a * q) - float(a) * float(q)) <= tol * (
+            magnitude(a) * abs(float(q)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(pi_scalars, rationals.filter(bool), exponents)
+    def test_division_inverts_a_single_term(self, a, q, e):
+        divisor = PiScalar(q, e)
+        assert (a / divisor) * divisor == a
+        assert divisor * divisor ** -1 == PiScalar(1)

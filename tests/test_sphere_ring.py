@@ -101,6 +101,22 @@ class TestExpectedCount:
         half = sr.sphere_expected_count(2, [1, 1], [0.25, 0.5])
         assert half == pytest.approx(base / 2)
 
+    def test_exact_ratios_give_exact_value(self):
+        assert sr.sphere_expected_count(
+            3, [1, 2], [Fraction(1, 3), Fraction(1, 2)]) == PiScalar(
+                Fraction(1, 6), 2)
+        half = Fraction(1, 2)
+        assert sr.sphere_expected_count(2, [1, 1], [half, half]) == 2
+
+    def test_float_ratios_multiply_the_float_factor_in_order(self):
+        for n, codims, ratios in ((2, [1, 1], [0.5, 0.5]),
+                                  (5, [1, 1, 3], [0.3, 0.7, 0.1]),
+                                  (4, [2, 1, 1], [0.2, 1 / 3, 0.9])):
+            want = float(sr.sphere_expected_count(n, codims, [1] * len(codims)))
+            for r in ratios:
+                want *= r
+            assert sr.sphere_expected_count(n, codims, ratios) == want
+
     def test_zero_ratio(self):
         assert sr.sphere_expected_count(2, [1, 1], [0.0, 1.0]) == 0.0
 

@@ -159,8 +159,7 @@ def generator_sums(draw, n):
 @st.composite
 def generator_triples(draw):
     n = draw(st.integers(1, 5))
-    return n, draw(generator_sums(n)), draw(generator_sums(n)), draw(
-        generator_sums(n))
+    return tuple(draw(generator_sums(n)) for _ in range(3))
 
 
 @st.composite
@@ -192,15 +191,15 @@ class TestRingProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(generator_triples())
-    def test_generator_sums_associative_distributive(self, nabc):
-        _, a, b, c = nabc
+    def test_generator_sums_associative_distributive(self, abc):
+        a, b, c = abc
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
     @settings(max_examples=60, deadline=None)
     @given(generator_triples())
-    def test_length_is_additive(self, nabc):
-        _, a, b, _ = nabc
+    def test_length_is_additive(self, abc):
+        a, b, _ = abc
         la, lb = cp.length_by_degree(a), cp.length_by_degree(b)
         want = {d: la.get(d, PiScalar(0)) + lb.get(d, PiScalar(0))
                 for d in set(la) | set(lb)}

@@ -236,10 +236,9 @@ class TestPiScalar:
 
     def test_division_needs_a_single_term(self):
         two_terms = PiScalar(1) + PiScalar(1, 1)
-        assert two_terms / PiScalar(2, 1) == PiScalar(Fraction(1, 2), -1) + \
-            Fraction(1, 2)
-        assert two_terms / 2 == PiScalar(Fraction(1, 2)) + PiScalar(
-            Fraction(1, 2), 1)
+        half = Fraction(1, 2)
+        assert two_terms / PiScalar(2, 1) == PiScalar(half, -1) + half
+        assert two_terms / 2 == PiScalar(half) + PiScalar(half, 1)
         with pytest.raises(ArithmeticError):
             PiScalar(1) / two_terms
         with pytest.raises(ArithmeticError):

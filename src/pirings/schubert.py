@@ -325,6 +325,20 @@ def edeg22_calibrated(samples, seed, workers=1, z=3.0):
     expectation: E4 over four single-box conditions, D11/D22 over the
     two self-dual pairs, D3/D4 over a complementary pair plus two boxes.
     Standard errors are propagated through the quotient at first order.
+
+    Four of the five factors are known constants:
+
+    - D11 = D22 = 1/2.  The (1,1) Schubert plane is R^2 (x) f, which
+      O(2) on the first factor fixes.  The wedge of R^2 (x) f with
+      R^2 (x) R_theta f has norm sin^2(theta), whose Haar mean is 1/2.
+      D22 follows by transposing the two factors.
+    - D3 = D4 = 8/pi^3.  Rotate the (1,1) plane to R^2 (x) f and take f'
+      orthogonal to f.  Modulo that plane the two boxes q (x) r and
+      q' (x) r' become (r.f') q (x) f' and (r'.f') q' (x) f', so the norm
+      is |r.f'| |r'.f'| |det[q q']|, a product of three independent
+      factors each of mean 2/pi.  D4 follows by transposing.
+
+    So the expected degree is E4 * (1/2) / (8/pi^3)^2 = (pi^6/128) * E4.
     All five estimators use the one seed, each diagram on its own slot.
     """
     shapes = {

@@ -149,6 +149,18 @@ class TestShapes:
         est = sb.mc_schubert_shape([(2,), (1, 1)], 2, 2, 20000, seed=2)
         assert est.max_value < 1e-10
 
+    @pytest.mark.parametrize("lams, expect, seed", [
+        ([(1, 1), (1, 1)], 0.5, 11),
+        ([(2,), (2,)], 0.5, 12),
+        ([(1, 1), (1,), (1,)], 8 / math.pi ** 3, 13),
+        ([(2,), (1,), (1,)], 8 / math.pi ** 3, 14),
+    ], ids=["D11", "D22", "D3", "D4"])
+    def test_edeg22_calibration_constants(self, lams, expect, seed):
+        # D11 = D22 = 1/2 and D3 = D4 = 8/pi^3; derivations in the
+        # docstring of edeg22_calibrated
+        est = sb.mc_schubert_shape(lams, 2, 2, 400000, seed=seed)
+        assert abs(est.mean - expect) < 4 * est.std_error
+
     def test_permutation_invariance(self):
         a = sb.mc_schubert_shape([(2,), (1,), (1,)], 2, 2, 100000, seed=3)
         b = sb.mc_schubert_shape([(1,), (2,), (1,)], 2, 2, 100000, seed=4)

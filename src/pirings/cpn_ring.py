@@ -17,7 +17,7 @@ from types import MappingProxyType
 from .exact import PiScalar, bareiss_solve
 from .exterior import ExteriorElement
 from .sampling import (block_stats, haar_unitary_realified, run_blocks,
-                       substream)
+                       small_det, substream)
 from .sphere_ring import ball_wedge_length
 
 
@@ -391,7 +391,7 @@ def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
         h = haar_unitary_realified(n, substream(seed, 0, b), size, cols=2)
         moved = np.einsum("sab,db->sda", h, vx)
         g = np.einsum("sik,jk->sij", moved, vy)
-        return block_stats(n * np.abs(np.linalg.det(g)))
+        return block_stats(n * np.abs(small_det(g)))
 
     return run_blocks(samples, seed, block_fn, workers)
 

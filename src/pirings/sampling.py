@@ -201,6 +201,42 @@ def sample_schubert(parts, k, m, rng):
     return SimpleVector(k * m, [tuple(row) for row in arr])
 
 
+def small_det(a):
+    """Determinants of a batch of square matrices, over the leading axis.
+
+    Orders 1 to 4 use closed forms on whole columns of the batch: order 3
+    by cofactors of the first row, order 4 by the Laplace expansion over
+    the six 2x2 minors of rows 0-1 and their complements in rows 2-3.
+    That avoids LAPACK's per-matrix overhead, which dominates at these
+    orders; every other order goes to LAPACK.  On integer entries of
+    small size every product and sum is exact, so orders 1 to 4 then give
+    the exact determinant.
+    """
+    import numpy as np
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0, 0].copy()
+    if n == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    if n == 3:
+        r0, r1, r2 = (a[..., i, :] for i in range(3))
+        return (r0[..., 0] * (r1[..., 1] * r2[..., 2] - r1[..., 2] * r2[..., 1])
+                - r0[..., 1] * (r1[..., 0] * r2[..., 2] - r1[..., 2] * r2[..., 0])
+                + r0[..., 2] * (r1[..., 0] * r2[..., 1] - r1[..., 1] * r2[..., 0]))
+    if n == 4:
+        def minor(r, s, i, j):
+            return a[..., r, i] * a[..., s, j] - a[..., r, j] * a[..., s, i]
+        # complementary column pairs (i, j) and (k, l), with the sign of
+        # the permutation (i, j, k, l)
+        return (minor(0, 1, 0, 1) * minor(2, 3, 2, 3)
+                - minor(0, 1, 0, 2) * minor(2, 3, 1, 3)
+                + minor(0, 1, 0, 3) * minor(2, 3, 1, 2)
+                + minor(0, 1, 1, 2) * minor(2, 3, 0, 3)
+                - minor(0, 1, 1, 3) * minor(2, 3, 0, 2)
+                + minor(0, 1, 2, 3) * minor(2, 3, 0, 1))
+    return np.linalg.det(a)
+
+
 def _gram_root_det(x):
     """sqrt(det(X X^T)) batched over the leading axis; |det X| when square."""
     import numpy as np
@@ -208,9 +244,9 @@ def _gram_root_det(x):
     if d == 0:
         return np.ones(x.shape[0])
     if d == n:
-        return np.abs(np.linalg.det(x))
+        return np.abs(small_det(x))
     g = np.einsum("sik,sjk->sij", x, x)
-    return np.sqrt(np.clip(np.linalg.det(g), 0.0, None))
+    return np.sqrt(np.clip(small_det(g), 0.0, None))
 
 
 def block_stats(vals):

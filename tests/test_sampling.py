@@ -7,6 +7,7 @@ from scipy import stats
 
 from pirings import sampling as sp
 from pirings import zonoid as zn
+from pirings.exact import int_det
 from pirings.exterior import SimpleVector
 from pirings.sphere_ring import ball_length
 
@@ -178,6 +179,58 @@ class TestHaarMatchesQr:
         for haar in (sp.haar_orthogonal, sp.haar_unitary_realified):
             with pytest.raises(ValueError, match="cols must lie in"):
                 haar(3, sp.substream(0, 0), 5, cols=cols)
+
+
+def _near_singular(rng, size, n):
+    """Matrices whose last row is a combination of the others plus 1e-9 noise."""
+    a = rng.standard_normal((size, n, n))
+    coef = rng.standard_normal((size, n - 1))
+    a[:, -1] = (np.einsum("sk,skj->sj", coef, a[:, :-1])
+                + 1e-9 * rng.standard_normal((size, n)))
+    return a
+
+
+class TestSmallDet:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("kind", ["random", "near_singular"])
+    def test_matches_lapack(self, n, kind):
+        rng = np.random.default_rng(100 + n)
+        a = (rng.standard_normal((500, n, n)) if kind == "random"
+             else _near_singular(rng, 500, n))
+        got = sp.small_det(a)
+        assert got.shape == (500,)
+        # the rounding of either method is a few n^2 eps times the
+        # Hadamard bound, the product of the row norms; numpy's det adds
+        # |log det| eps relative, as it exponentiates the log-determinant
+        scale = np.prod(np.linalg.norm(a, axis=-1), axis=-1)
+        tol = 32 * n * n * np.finfo(float).eps * scale
+        assert np.all(np.abs(got - np.linalg.det(a)) <= tol)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_integer_entries(self, n):
+        rng = np.random.default_rng(200 + n)
+        a = rng.integers(-9, 10, size=(300, n, n))
+        # every other matrix singular: a repeated row
+        a[::2, -1] = a[::2, 0]
+        got = sp.small_det(a.astype(float))
+        if n <= 4:
+            assert got.tolist() == [int_det(m.tolist()) for m in a]
+        else:
+            assert np.allclose(got, np.linalg.det(a.astype(float)))
+
+    def test_lapack_only_above_order_4(self, monkeypatch):
+        orders = []
+        lapack = np.linalg.det
+
+        def recording(a):
+            orders.append(a.shape[-1])
+            return lapack(a)
+
+        monkeypatch.setattr(np.linalg, "det", recording)
+        rng = np.random.default_rng(7)
+        for n in range(1, 7):
+            sp.small_det(rng.standard_normal((10, n, n)))
+        assert orders == [5, 6]
 
 
 class TestSchubertSampler:

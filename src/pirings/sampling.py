@@ -177,6 +177,26 @@ class SchubertSampler:
         return out
 
 
+class FixedSampler:
+    """The same simple vector in every trial; it draws nothing from rng.
+
+    factors are the rows of its d x N matrix.  Where a wedge norm is
+    invariant under one rotation applied to all its factors, one random
+    factor can be held fixed like this without changing the law of the
+    result.
+    """
+
+    def __init__(self, factors):
+        self.factors = [[float(x) for x in row] for row in factors]
+        self.degree = len(self.factors)
+        self.ambient_dim = len(self.factors[0])
+
+    def draw(self, rng, size):
+        import numpy as np
+        return np.broadcast_to(self.factors,
+                               (size, self.degree, self.ambient_dim))
+
+
 class SamplerZonoid:
     """scale * K(xi) with xi given by a batch sampler."""
 

@@ -13,6 +13,7 @@ import math
 from .exterior import SimpleVector, span_rank, wedge_inner
 from .sampling import (
     Estimate,
+    FixedSampler,
     SamplerZonoid,
     SchubertSampler,
     mc_wedge_length,
@@ -258,8 +259,10 @@ def verify_span_decomposition(k, m, d, samples=200, tol=1e-9, seed=0):
     diagrams = [YoungDiagram(p) for p in _partitions(d, k, m)]
     report = {"k": k, "m": m, "d": d, "orbits": {}, "wedges": {}, "ok": True}
     mats = {}
+    # every draw uses the one key seed, on its own slot
+    slots = itertools.count()
     for lam in diagrams:
-        rng = substream(seed, hash(lam.parts) % (1 << 32))
+        rng = substream(seed, next(slots))
         vs = [sample_schubert(lam.parts, k, m, rng) for _ in range(samples)]
         rank = span_rank(vs, tol)
         expected = span_dim(lam, k, m)
@@ -282,8 +285,8 @@ def verify_span_decomposition(k, m, d, samples=200, tol=1e-9, seed=0):
     for a, b in itertools.combinations_with_replacement(diagrams, 2):
         if a.size + b.size > k * m:
             continue
-        rng_a = substream(seed + 1, hash((a.parts, b.parts)) % (1 << 32))
-        rng_b = substream(seed + 2, hash((b.parts, a.parts)) % (1 << 32))
+        rng_a = substream(seed, next(slots))
+        rng_b = substream(seed, next(slots))
         ws = []
         for _ in range(samples):
             va = sample_schubert(a.parts, k, m, rng_a)
@@ -324,8 +327,6 @@ def edeg22_calibrated(samples, seed, workers=1, z=3.0):
     E4 * sqrt(D11 * D22) / (D3 * D4), where each factor is a shape
     expectation: E4 over four single-box conditions, D11/D22 over the
     two self-dual pairs, D3/D4 over a complementary pair plus two boxes.
-    Standard errors are propagated through the quotient at first order.
-
     Four of the five factors are known constants:
 
     - D11 = D22 = 1/2.  The (1,1) Schubert plane is R^2 (x) f, which
@@ -338,34 +339,22 @@ def edeg22_calibrated(samples, seed, workers=1, z=3.0):
       is |r.f'| |r'.f'| |det[q q']|, a product of three independent
       factors each of mean 2/pi.  D4 follows by transposing.
 
-    So the expected degree is E4 * (1/2) / (8/pi^3)^2 = (pi^6/128) * E4.
-    All five estimators use the one seed, each diagram on its own slot.
+    So the expected degree is E4 * (1/2) / (8/pi^3)^2 = (pi^6/128) * E4,
+    and only E4 is estimated; its standard error scales by the same
+    constant.  E4 is the mean norm of g_1 v ^ g_2 v ^ g_3 v ^ g_4 v for
+    v = e_1 (x) f_1 and independent Haar g_i on O(2) x O(2).  That norm
+    is invariant under a common rotation, so g_1 is taken to be the
+    identity (the g_1^-1 g_i are again independent and Haar): slot 0 of
+    the seed holds v fixed and draws nothing, and slots 1 to 3 draw the
+    three rotations.  components holds the E4 estimate.
     """
-    shapes = {
-        "E4": [(1,), (1,), (1,), (1,)],
-        "D11": [(1, 1), (1, 1)],
-        "D22": [(2,), (2,)],
-        "D3": [(1, 1), (1,), (1,)],
-        "D4": [(2,), (1,), (1,)],
-    }
-    ests = {}
-    slot = 0
-    for name, lams in shapes.items():
-        ests[name] = mc_schubert_shape(lams, 2, 2, samples, seed, workers,
-                                       first_slot=slot)
-        slot += len(lams)
-    e4, d11, d22, d3, d4 = (ests[k].mean for k in
-                            ("E4", "D11", "D22", "D3", "D4"))
-    value = e4 * math.sqrt(d11 * d22) / (d3 * d4)
-    rel_var = (
-        (ests["E4"].std_error / e4) ** 2
-        + 0.25 * (ests["D11"].std_error / d11) ** 2
-        + 0.25 * (ests["D22"].std_error / d22) ** 2
-        + (ests["D3"].std_error / d3) ** 2
-        + (ests["D4"].std_error / d4) ** 2
-    )
-    return Estimate(value, value * math.sqrt(rel_var), samples, seed,
-                    components=ests)
+    box = (1,)
+    fixed = SamplerZonoid(1.0, FixedSampler(v_lambda(box, 2, 2).factors))
+    rotated = SamplerZonoid(1.0, SchubertSampler(box, 2, 2))
+    e4 = mc_wedge_length([fixed] + [rotated] * 3, samples, seed, workers)
+    scale = math.pi ** 6 / 128
+    return Estimate(scale * e4.mean, scale * e4.std_error, samples, seed,
+                    scale * e4.max_value, components={"E4": e4})
 
 
 def asymptotic_edeg2(m):

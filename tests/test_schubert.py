@@ -179,13 +179,34 @@ class TestSpanDecomposition:
         assert report["ok"]
         assert report["orbits"]["(1,)"]["rank"] == 4
 
+    def test_streams_of_neighbouring_seeds_are_disjoint(self, monkeypatch):
+        used = []
+        substream = sb.substream
+
+        def recording(seed, slot, block=0):
+            used.append((seed, slot, block))
+            return substream(seed, slot, block)
+
+        monkeypatch.setattr(sb, "substream", recording)
+        runs = {}
+        for seed in (5, 6):
+            used.clear()
+            sb.verify_span_decomposition(2, 2, 2, samples=5, seed=seed)
+            runs[seed] = set(used)
+            # one key per run: the orbits of (2) and (1,1), then two slots
+            # for each of their three pairs
+            assert {k for k, _, _ in used} == {seed}
+            assert len(used) == len(runs[seed]) == 2 + 2 * 3
+        assert not runs[5] & runs[6]
+
 
 class TestEdeg:
     def test_calibrated_quick(self):
         est = sb.edeg22_calibrated(60000, seed=0)
         # true value ~ 1.7262; loose window for a quick run
         assert abs(est.mean - 1.726) < 5 * est.std_error + 0.01
-        assert set(est.components) == {"E4", "D11", "D22", "D3", "D4"}
+        assert set(est.components) == {"E4"}
+        assert est.mean == math.pi ** 6 / 128 * est.components["E4"].mean
 
     def test_streams_of_neighbouring_seeds_are_disjoint(self, monkeypatch):
         used = []
@@ -201,9 +222,10 @@ class TestEdeg:
             used.clear()
             sb.edeg22_calibrated(100, seed)
             runs[seed] = set(used)
-            # one key per run, and each of the 14 diagrams on its own slot
+            # one key per run, and each of the four boxes on its own slot
+            # (slot 0 is the fixed first box, which draws nothing)
             assert {k for k, _, _ in used} == {seed}
-            assert len(used) == len(runs[seed]) == 14
+            assert len(used) == len(runs[seed]) == 4
         assert not runs[5] & runs[6]
 
     def test_components_field_and_worker_identity(self):

@@ -1,11 +1,14 @@
 import math
 from fractions import Fraction
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 from scipy import stats
 
+from pirings import cpn_ring as cp
 from pirings import sampling as sp
+from pirings import schubert as sb
 from pirings import zonoid as zn
 from pirings.exact import int_det
 from pirings.exterior import SimpleVector
@@ -245,6 +248,11 @@ class TestSchubertSampler:
         with pytest.raises(ValueError):
             sp.SchubertSampler((3,), 2, 2)
 
+    def test_fixed_sampler_draws_nothing(self):
+        out = sp.FixedSampler([[1, 0, 0, 0]]).draw(None, 3)
+        assert out.shape == (3, 1, 4)
+        assert np.array_equal(out, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1, 1)))
+
 
 class TestRunBlocks:
     @pytest.mark.parametrize("samples, workers", [(0, 1), (-3, 1), (10, 0),
@@ -393,3 +401,33 @@ class TestMcPairing:
         one = mc_pairing(s, s, 30000, seed=18, workers=1)
         two = mc_pairing(s, s, 30000, seed=18, workers=3)
         assert one == two
+
+
+# every seeded estimator, as (samples, seed, workers) -> Estimate
+ESTIMATORS = {
+    "mc_wedge_length": lambda samples, seed, workers: sp.mc_wedge_length(
+        [sp.gaussian_ball(3)] * 2, samples, seed, workers),
+    "mc_schubert_shape": lambda samples, seed, workers: sb.mc_schubert_shape(
+        [(1,), (2, 1)], 2, 2, samples, seed, workers),
+    "edeg22_calibrated": sb.edeg22_calibrated,
+    "mc_tasaki_kernel_d2": lambda samples, seed, workers: (
+        cp.mc_tasaki_kernel_d2(3, 0.5, 0.25, samples, seed, workers)),
+}
+
+
+class TestWorkerIdentity:
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    @settings(max_examples=8, deadline=None)
+    # small draws rarely span blocks, so two multi-block cases always run
+    @example(samples=sp.BLOCK + 1, seed=0, workers=(1, 2))
+    @example(samples=3 * sp.BLOCK, seed=2 ** 32 - 1, workers=(3, 1))
+    @given(samples=st.integers(1, 3 * sp.BLOCK),
+           seed=st.integers(0, 2 ** 32 - 1),
+           workers=st.tuples(st.sampled_from((1, 2, 3)),
+                             st.sampled_from((1, 2, 3))))
+    def test_bit_identical_for_any_worker_count(self, name, samples, seed,
+                                                workers):
+        a, b = (ESTIMATORS[name](samples, seed, w) for w in workers)
+        # == compares mean, standard error, samples, seed and components
+        assert a == b
+        assert a.max_value == b.max_value

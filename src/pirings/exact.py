@@ -141,7 +141,8 @@ class PiScalar:
     nonzero Fraction coefficient of pi**e.  pi is transcendental, so this
     normal form is unique and == is exact.  PiScalar(coeff, pi_exp) is one
     term.  Division and negative powers need a single-term divisor or
-    base; multiplying or dividing by a float gives a float.
+    base.  Arithmetic with a float gives a float, and == with a float
+    compares like Fraction == float.
     """
 
     __slots__ = ("terms",)
@@ -179,12 +180,19 @@ class PiScalar:
         return float(self) / other
 
     def __add__(self, other):
-        if not isinstance(other, PiScalar):
+        if is_exact(other):
             other = PiScalar(other)
+        elif not isinstance(other, PiScalar):
+            return float(self) + other
         return PiScalar._sum([*self.terms.items(), *other.terms.items()])
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + other * -1
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __neg__(self):
         return self * -1
@@ -200,10 +208,11 @@ class PiScalar:
         return PiScalar(c**k, e * k)
 
     def __eq__(self, other):
-        if is_exact(other):
-            other = PiScalar(other)
         if isinstance(other, PiScalar):
             return self.terms == other.terms
+        if is_exact(other) or isinstance(other, float):
+            # as for Fraction == float, only a rational value can be equal
+            return self.terms.keys() <= {0} and self.rational() == other
         return NotImplemented
 
     def __hash__(self):

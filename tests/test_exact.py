@@ -252,10 +252,32 @@ class TestPiScalar:
         assert a * 0.5 == float(a) * 0.5
         assert 0.5 * a == float(a) * 0.5
         assert a / 4.0 == float(a) / 4.0
+        for got, want in [(a + 0.1, float(a) + 0.1), (0.1 + a, float(a) + 0.1),
+                          (a - 0.1, float(a) - 0.1), (0.1 - a, 0.1 - float(a))]:
+            assert type(got) is float and got == want
+        assert PiScalar(1) + 0.1 == 1.1
+
+    def test_exact_operands_stay_exact(self):
+        a = PiScalar(3, 1)
+        assert 1 + a == a + 1 == PiScalar(1) + a
+        assert Fraction(1, 2) - a == PiScalar(Fraction(1, 2)) - a
 
     def test_exact_comparison(self):
         assert PiScalar(3) == 3
         assert PiScalar(3, 1) != 3
+
+    def test_float_comparison_is_like_fraction(self):
+        assert PiScalar(1) == 1.0 and 1.0 == PiScalar(1)
+        assert PiScalar(Fraction(1, 2)) == 0.5
+        assert PiScalar(0, 3) == 0.0
+        # 1/10 has no exact binary value, so it equals no float
+        assert PiScalar(Fraction(1, 10)) != 0.1
+        assert Fraction(1, 10) != 0.1
+        assert PiScalar(1, 1) != math.pi
+        assert PiScalar(1) + PiScalar(1, 1) != 1.0 + math.pi
+        assert PiScalar(1) != float("nan")
+        assert hash(PiScalar(1)) == hash(1.0)
+        assert hash(PiScalar(Fraction(-3, 4))) == hash(-0.75)
 
 
 exponents = st.sampled_from([Fraction(k, 6) for k in range(-12, 13)])

@@ -284,10 +284,14 @@ def cmd_sphere(args):
         return {"N": n, "rows": rows}
     if args.action == "expected-count":
         codims = [int(x) for x in args.codims.split(",")]
-        ratios = [float(x) for x in args.ratios.split(",")]
+        # p/q is an exact ratio; a decimal stays a float
+        ratios = [Fraction(x) if "/" in x else float(x)
+                  for x in args.ratios.split(",")]
         val = sphere_ring.sphere_expected_count(args.n, codims, ratios)
-        return {"n": args.n, "codims": codims, "ratios": ratios,
-                "expected_count": val}
+        return {"n": args.n, "codims": codims,
+                "ratios": [_num(r) for r in ratios],
+                "expected_count": (val.to_json() if isinstance(val, PiScalar)
+                                   else val)}
     if args.action == "ball-mc":
         est = mc_wedge_length([gaussian_ball(args.N)] * args.i,
                               args.samples, _seed(args), args.workers)
@@ -393,7 +397,8 @@ def build_parser():
     p_sph.add_argument("--n", type=int, default=2)
     p_sph.add_argument("--i", type=int, default=1)
     p_sph.add_argument("--codims", default="1,1")
-    p_sph.add_argument("--ratios", default="0.5,0.5")
+    p_sph.add_argument("--ratios", default="0.5,0.5",
+                       help="volume ratios: p/q is exact, a decimal a float")
     return parser
 
 

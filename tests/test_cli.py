@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 import shlex
@@ -217,6 +218,25 @@ class TestSphere:
         code, _ = run(capsys, "sphere", "expected-count", "--n", "3",
                       "--codims", "1,1", "--ratios", "0.5,0.5")
         assert code == 1
+
+    def test_expected_count_exact_ratios(self, capsys):
+        data = run_json(capsys, "sphere", "expected-count", "--n", "3",
+                        "--codims", "1,2", "--ratios", "1/3,1/2")
+        assert data["ratios"] == ["1/3", "1/2"]
+        # pi^2 / 6
+        assert data["expected_count"] == {"coeff": "1/6", "pi_exp": "2"}
+        # a decimal ratio makes the count a float
+        data = run_json(capsys, "sphere", "expected-count", "--n", "3",
+                        "--codims", "1,2", "--ratios", "1/3,0.5")
+        assert data["ratios"] == ["1/3", 0.5]
+        assert data["expected_count"] == pytest.approx(math.pi ** 2 / 6)
+
+    @pytest.mark.parametrize("ratios", ["1/0,1", "x/2,1", "1/3,"])
+    def test_bad_ratio(self, capsys, ratios):
+        code, err = run_err(capsys, "sphere", "expected-count", "--n", "2",
+                            "--codims", "1,1", "--ratios", ratios)
+        assert code == 1
+        assert err.startswith("error: ")
 
 
 class TestOutputModes:

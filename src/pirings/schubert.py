@@ -348,9 +348,9 @@ def edeg22_calibrated(samples, seed, workers=1, z=3.0):
     the seed holds v fixed and draws nothing, and slots 1 to 3 draw the
     three rotations.  components holds the E4 estimate.
     """
-    box = (1,)
-    fixed = SamplerZonoid(1.0, FixedSampler(v_lambda(box, 2, 2).factors))
-    rotated = SamplerZonoid(1.0, SchubertSampler(box, 2, 2))
+    # v = e_1 (x) f_1, coordinate 0 of R^2 (x) R^2
+    fixed = SamplerZonoid(1.0, FixedSampler([[1.0, 0.0, 0.0, 0.0]]))
+    rotated = SamplerZonoid(1.0, SchubertSampler((1,), 2, 2))
     e4 = mc_wedge_length([fixed] + [rotated] * 3, samples, seed, workers)
     scale = math.pi ** 6 / 128
     return Estimate(scale * e4.mean, scale * e4.std_error, samples, seed,

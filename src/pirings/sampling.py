@@ -312,11 +312,10 @@ def run_blocks(samples, seed, block_fn, workers=1):
     return Estimate(mean, math.sqrt(var / samples), samples, seed, top)
 
 
-def mc_wedge_length(zs, samples, seed, workers=1, first_slot=0):
+def mc_wedge_length(zs, samples, seed, workers=1):
     """Monte-Carlo estimate of the length of the wedge of sampler zonoids.
 
-    Zonoid i draws from slot first_slot + i of the seed, so estimators
-    that share a seed can keep their streams apart.
+    Zonoid i draws from slot i of the seed.
     """
     import numpy as np
     zs = list(zs)
@@ -334,7 +333,7 @@ def mc_wedge_length(zs, samples, seed, workers=1, first_slot=0):
         if scale == 0.0:
             return block_stats(np.zeros(size))
         draws = [z.sampler.draw(substream(seed, slot, b), size)
-                 for slot, z in enumerate(zs, first_slot)]
+                 for slot, z in enumerate(zs)]
         return block_stats(
             scale * _gram_root_det(np.concatenate(draws, axis=1)))
 

@@ -236,14 +236,14 @@ def duality_nonvanishing(lam, mu, k, m):
     return is_dual
 
 
-def mc_schubert_shape(lams, k, m, samples, seed, workers=1, first_slot=0):
+def mc_schubert_shape(lams, k, m, samples, seed, workers=1):
     """Monte-Carlo mean of ||h_1 v_1 ^ ... ^ h_s v_s|| over independent rotations.
 
-    Diagram i draws its rotations from slot first_slot + i of the seed.
+    Diagram i draws its rotations from slot i of the seed.
     """
     zs = [SamplerZonoid(1.0, SchubertSampler(as_diagram(l).parts, k, m))
           for l in lams]
-    return mc_wedge_length(zs, samples, seed, workers, first_slot)
+    return mc_wedge_length(zs, samples, seed, workers)
 
 
 def verify_span_decomposition(k, m, d, samples=200, tol=1e-9, seed=0):

@@ -15,7 +15,6 @@ but draw nothing, start without it.  Each estimator imports it on the
 calling thread before run_blocks starts any worker.
 """
 
-from dataclasses import dataclass, field
 import math
 
 from .exterior import SimpleVector
@@ -31,15 +30,39 @@ def substream(seed, slot, block=0):
     return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
 
 
-@dataclass
 class Estimate:
-    mean: float
-    std_error: float
-    samples: int
-    seed: int
-    max_value: float | None = field(default=None, compare=False)
-    # estimates this one is combined from, by name
-    components: dict = field(default_factory=dict)
+    """A Monte-Carlo mean with its standard error.
+
+    max_value, the largest sample, takes no part in ==; components holds
+    the estimates this one is combined from, by name.  A plain class
+    rather than a dataclass: importing dataclasses pulls in inspect, ast
+    and dis, which every command would pay for at start-up.
+    """
+
+    __slots__ = ("mean", "std_error", "samples", "seed", "max_value",
+                 "components")
+
+    def __init__(self, mean, std_error, samples, seed, max_value=None,
+                 components=None):
+        self.mean = mean
+        self.std_error = std_error
+        self.samples = samples
+        self.seed = seed
+        self.max_value = max_value
+        self.components = {} if components is None else components
+
+    def _compared(self):
+        return (self.mean, self.std_error, self.samples, self.seed,
+                self.components)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"Estimate({fields})"
 
     def ci(self, z=DEFAULT_Z):
         return (self.mean - z * self.std_error, self.mean + z * self.std_error)

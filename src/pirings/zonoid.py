@@ -18,6 +18,7 @@ prod_k C(#atoms of K_k, m_k) integer determinants.
 
 from fractions import Fraction
 import itertools
+import json
 import math
 import sys
 
@@ -31,8 +32,6 @@ from .exterior import (
     factorize_simple,
     hodge_star,
     wedge_elements,
-    wedge_inner,
-    wedge_norm,
 )
 from .sphere_ring import ball_wedge_length, kappa
 
@@ -107,34 +106,41 @@ def support(z, u):
 
 
 def length(z):
-    """First intrinsic volume sum: sum of w_i ||v_i||.  Center is ignored."""
-    return sum((w * wedge_norm([v]) for w, v in z.atoms), start=0)
+    """First intrinsic volume sum: sum of w_i ||v_i||.  Center is ignored.
+
+    A single body is a product of one factor, so this is the product
+    engine's length on the canonical atoms.
+    """
+    return _wedge_length([z])
 
 
 def pairing(a, b):
-    """<K, K'> = sum over atom pairs of w w' |<v, v'>| (centered parts only)."""
+    """<K, K'> = sum over atom pairs of w w' |<v, v'>| (centered parts only).
+
+    <v_1^...^v_d, u_1^...^u_d> = det(<v_i, u_j>), taken on the canonical
+    atoms of both bodies.
+    """
     if (a.ambient_dim, a.degree) != (b.ambient_dim, b.degree):
         raise ValueError("degree mismatch")
-    total = 0
-    for w, v in a.atoms:
-        for w2, v2 in b.atoms:
-            total += w * w2 * abs(wedge_inner(v, v2))
-    return total
+    a_exact, a_den, a_atoms = _canonical(a)
+    b_exact, b_den, b_atoms = _canonical(b)
+    det_ = int_det if a_exact and b_exact else det
+    total = sum((wa * wb * abs(det_([[dot(x, y) for y in rb] for x in ra]))
+                 for wa, ra in a_atoms for wb, rb in b_atoms), start=0)
+    return total * Fraction(1, a_den * b_den)
 
 
 def _primitive(f):
-    """(row, c) with f = +-c * row, row primitive with first nonzero entry > 0.
-
-    c > 0, except that a zero vector gives (None, 0).
-    """
-    den = math.lcm(*(Fraction(x).denominator for x in f))
-    ints = [Fraction(x).numerator * (den // Fraction(x).denominator) for x in f]
-    g = math.gcd(*ints)
-    if g == 0:
-        return None, 0
+    """(row, c, q) with f = +-(c/q) * row, row primitive with first nonzero
+    entry > 0 and c, q > 0 ints; a zero vector gives (None, 0, 1)."""
+    q = math.lcm(*(x.denominator for x in f))
+    ints = [x.numerator * (q // x.denominator) for x in f]
+    c = math.gcd(*ints)
+    if c == 0:
+        return None, 0, 1
     if next(x for x in ints if x) < 0:
-        g = -g
-    return tuple(x // g for x in ints), Fraction(abs(g), den)
+        c = -c
+    return tuple(x // c for x in ints), abs(c), q
 
 
 def _canonical(z):
@@ -142,26 +148,29 @@ def _canonical(z):
 
     An exact body (every weight and coordinate an int or Fraction) gets
     primitive integer rows, equal rows merged, zero atoms dropped, atoms
-    sorted and int W over one common denominator.  Any other body passes
-    through unchanged with den = 1.
+    sorted and int W over the least common denominator.  Any other body
+    passes through unchanged with den = 1.  Weights are summed as
+    numerator/denominator pairs of ints, with no Fraction arithmetic.
     """
     if not all(is_exact(w) and all(is_exact(x) for f in v.factors for x in f)
                for w, v in z.atoms):
         return False, 1, tuple((w, v.factors) for w, v in z.atoms)
     merged = {}
     for w, v in z.atoms:
-        weight, rows = Fraction(w), []
+        num, den, rows = w.numerator, w.denominator, []
         for f in v.factors:
-            row, c = _primitive(f)
-            weight *= c
+            row, c, q = _primitive(f)
+            num *= c
+            den *= q
             rows.append(row)
-        if weight:
-            rows = tuple(rows)
-            merged[rows] = merged.get(rows, 0) + weight
-    atoms = sorted((rows, w) for rows, w in merged.items() if w)
-    den = math.lcm(*(w.denominator for _, w in atoms))
-    return True, den, tuple((w.numerator * (den // w.denominator), rows)
-                            for rows, w in atoms)
+        if num:
+            merged.setdefault(tuple(rows), []).append((num, den))
+    common = math.lcm(*(d for ws in merged.values() for _, d in ws))
+    sums = ((rows, sum(n * (common // d) for n, d in ws))
+            for rows, ws in merged.items())
+    atoms = sorted((rows, w) for rows, w in sums if w)
+    g = math.gcd(common, *(w for _, w in atoms))
+    return True, common // g, tuple((w // g, rows) for rows, w in atoms)
 
 
 def _grouped(zs):
@@ -383,11 +392,18 @@ def _num_to_json(x):
 
 
 def _num_from_json(x):
+    """An int or a finite float as is, a numeric string as a Fraction."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and math.isfinite(x):
+        return x
     if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    return x
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"malformed zonoid JSON: {json.dumps(x)} is not a "
+                     "number (use an integer, a finite decimal or \"p/q\")")
 
 
 def to_json(z):

@@ -179,6 +179,33 @@ class TestZonoid:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("action", ["length", "mixed-volume"])
+    @pytest.mark.parametrize("where,value,named", [
+        ("v", "null", "null"),
+        ("v", "1e400", "Infinity"),
+        ("v", "NaN", "NaN"),
+        ("v", '"x"', '"x"'),
+        ("v", "[1]", "[1]"),
+        ("w", "true", "true"),
+        ("w", '"1/0"', '"1/0"'),
+        ("w", "{}", "{}"),
+    ])
+    def test_malformed_number(self, capsys, tmp_path, action, where, value,
+                              named):
+        weight, coord = (value, "0") if where == "w" else ("1", value)
+        path = tmp_path / "bad.json"
+        # written by hand: json.dumps cannot spell 1e400
+        path.write_text('{"ambient": 2, "degree": 1, "atoms": ['
+                        '{"w": 1, "v": [[1, 0]]}, '
+                        f'{{"w": {weight}, "v": [[{coord}, 1]]}}]}}')
+        code = main(["zonoid", action, "-f", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: malformed zonoid JSON: {named} is "
+                                "not a number (use an integer, a finite "
+                                'decimal or "p/q")\n')
+
     def test_tiny_square_stays_exact(self, capsys, tmp_path):
         tiny = {"ambient": 2, "degree": 1,
                 "atoms": [{"w": 1, "v": [["1/100000000", 0]]},
@@ -292,28 +319,37 @@ def test_bad_spans_sample_count(capsys, count):
 
 
 # Exact commands must not import numpy: it costs more start-up time than
-# the rest of the package.  pytest has numpy loaded already, so each
-# command runs in a fresh interpreter.
-_NUMPY_PROBE = """\
+# the rest of the package.  Nor dataclasses, which pulls in inspect, ast
+# and dis.  pytest has all of them loaded already, so each command runs in
+# a fresh interpreter.
+_PROBED = ("numpy", "dataclasses", "inspect")
+_MODULE_PROBE = f"""\
 import sys
 from pirings.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(f"exit={code} numpy={'numpy' in sys.modules}", file=sys.stderr)
+loaded = " ".join(f"{{m}}={{m in sys.modules}}" for m in {_PROBED!r})
+print(f"exit={{code}} {{loaded}}", file=sys.stderr)
 """
 
 
-def probe_numpy(argv, cwd):
-    """'exit=<code> numpy=<loaded>' after running main(argv) in a new process."""
+def fresh_python(code, argv, cwd):
+    """Run `python -c code *argv` on this package in a new interpreter."""
     src = str(Path(pirings.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+    return subprocess.run([sys.executable, "-c", code, *argv],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+def probe_modules(argv, cwd):
+    """'exit=<code> numpy=<loaded> dataclasses=<loaded> inspect=<loaded>'
+    after running main(argv) in a new process."""
+    proc = fresh_python(_MODULE_PROBE, argv, cwd)
     return proc.stderr.strip().splitlines()[-1]
 
 
@@ -334,12 +370,26 @@ def probe_numpy(argv, cwd):
 ], ids=" ".join)
 def test_exact_command_does_not_import_numpy(tmp_path, argv):
     write_inputs(tmp_path)
-    assert probe_numpy(argv, tmp_path) == "exit=0 numpy=False"
+    assert probe_modules(argv, tmp_path) == (
+        "exit=0 numpy=False dataclasses=False inspect=False")
 
 
 def test_monte_carlo_command_imports_numpy(tmp_path):
     argv = ("cpn", "tasaki", "--n", "2", "--mc", "--samples", "1000")
-    assert probe_numpy(argv, tmp_path) == "exit=0 numpy=True"
+    assert probe_modules(argv, tmp_path).startswith("exit=0 numpy=True ")
+
+
+def test_cli_import_loads_every_module(tmp_path):
+    # perfbench/tracing.py wraps module functions right after importing
+    # pirings.cli, so a module the CLI loaded lazily would escape it
+    package = Path(pirings.__file__).resolve().parent
+    want = sorted(f"pirings.{p.stem}" for p in package.glob("*.py")
+                  if p.stem != "__init__")
+    code = ("import sys, pirings.cli; "
+            "print(*sorted(m for m in sys.modules if m.startswith('pirings.')))")
+    proc = fresh_python(code, (), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == want
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

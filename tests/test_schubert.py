@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -229,8 +228,7 @@ class TestEdeg:
         assert not runs[5] & runs[6]
 
     def test_components_field_and_worker_identity(self):
-        assert "components" in {f.name for f in
-                                dataclasses.fields(sp.Estimate)}
+        assert sp.Estimate(0.0, 0.0, 1, 0).components == {}
         one = sb.edeg22_calibrated(20000, seed=3, workers=1)
         two = sb.edeg22_calibrated(20000, seed=3, workers=2)
         assert one == two

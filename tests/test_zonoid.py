@@ -10,7 +10,8 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from pirings import zonoid as zn
-from pirings.exterior import ExteriorElement, SimpleVector
+from pirings.exterior import (ExteriorElement, SimpleVector, wedge_inner,
+                              wedge_norm)
 
 
 def seg(n, vec, w=1):
@@ -486,3 +487,194 @@ class TestExactRegressions:
                                         (1, SimpleVector(2, [(0, 1)]))])
         assert len(zn.wedge([split, split]).atoms) == 1
         assert zn.volume(split) == zn.volume(merged) == 3
+
+
+# --- length, pairing and JSON against the per-atom formulas ---------------
+
+def oracle_length(z):
+    """The per-atom formula: sum of w * |v|, each norm a Gram root."""
+    return sum((w * wedge_norm([v]) for w, v in z.atoms), start=0)
+
+
+def oracle_pairing(a, b):
+    """Sum over atom pairs of w w' |<v, v'>|, each a Gram determinant."""
+    return sum((w * w2 * abs(wedge_inner(v, v2))
+                for w, v in a.atoms for w2, v2 in b.atoms), start=0)
+
+
+def hadamard(z):
+    """Sum of |w| prod |v_i|, the Hadamard bound of the length of z."""
+    return sum(abs(w) * math.prod(math.hypot(*f) for f in v.factors)
+               for w, v in z.atoms)
+
+
+def binary_rationals(z):
+    """z with every float weight and coordinate made its exact Fraction."""
+    return zn.VirtualZonoid(z.ambient_dim, z.degree, [
+        (Fraction(w), SimpleVector(z.ambient_dim,
+                                   [map(Fraction, f) for f in v.factors]))
+        for w, v in z.atoms])
+
+
+def rotation_rows(a, b, c, e):
+    """Rows of the rotation of the quaternion (a, b, c, e), unnormalised:
+    pairwise orthogonal, each of norm a^2 + b^2 + c^2 + e^2."""
+    return [(a * a + b * b - c * c - e * e, 2 * (b * c - a * e),
+             2 * (b * e + a * c)),
+            (2 * (b * c + a * e), a * a - b * b + c * c - e * e,
+             2 * (c * e - a * b)),
+            (2 * (b * e - a * c), 2 * (c * e + a * b),
+             a * a - b * b - c * c + e * e)]
+
+
+@st.composite
+def frames(draw, n):
+    """n pairwise orthogonal integer rows of R^n (n = 3, 4) with integer
+    norms, coordinates permuted: a rotation, padded by a fourth axis."""
+    q = draw(st.lists(st.integers(-2, 2), min_size=4, max_size=4)
+             .filter(any))
+    rows = [list(r) + [0] * (n - 3) for r in rotation_rows(*q)]
+    rows += [[0, 0, 0, 1]] if n == 4 else []
+    perm = draw(st.permutations(range(n)))
+    return [[r[i] for i in perm] for r in rows]
+
+
+@st.composite
+def degenerate(draw, rows):
+    """rows with some replaced by a zero row or a scaled copy (a repeat
+    when the scale is 1) of an earlier row."""
+    rows = [list(r) for r in rows]
+    for i in range(len(rows)):
+        kind = draw(st.sampled_from(("keep", "keep", "zero", "copy")))
+        if kind == "zero":
+            rows[i] = [0] * len(rows[i])
+        elif kind == "copy" and i:
+            c = draw(SCALES)
+            rows[i] = [c * x for x in rows[draw(st.integers(0, i - 1))]]
+    return rows
+
+
+@st.composite
+def bodies(draw, n, d, kind="rational"):
+    """Degree-d bodies in R^n with negative and zero weights, degenerate
+    atoms and parallel copies of atoms.
+
+    kind "rational": rational rows; "square": rows T Q_S for a rational
+    d x d matrix T and d rows Q_S of an orthogonal frame, so every norm
+    |det T| prod |q_i| is rational; "float": a rational body written in
+    floats.
+    """
+    frame = draw(frames(n)) if kind == "square" else None
+    atoms = []
+    for _ in range(draw(st.integers(0, 3))):
+        if frame is None:
+            rows = draw(st.lists(vectors(n), min_size=d, max_size=d))
+        else:
+            picks = draw(st.permutations(range(n)))[:d]
+            coeffs = draw(st.lists(vectors(d), min_size=d, max_size=d))
+            rows = [[sum(t * frame[s][j] for t, s in zip(coeff, picks))
+                     for j in range(n)] for coeff in coeffs]
+        atoms.append((draw(WEIGHTS), draw(degenerate(rows))))
+    for c, (_, rows) in zip(draw(st.lists(SCALES, max_size=2)), list(atoms)):
+        parallel = [[c * x for x in rows[0]], *rows[1:]] if rows else []
+        atoms.append((draw(WEIGHTS), parallel))
+    num = float if kind == "float" else Fraction
+    return zn.VirtualZonoid(n, d, [
+        (num(w), SimpleVector(n, [map(num, r) for r in rows]))
+        for w, rows in atoms])
+
+
+def body_pairs(kind):
+    """Two bodies of one shape, degree 0 to 3 in R^3 or R^4."""
+    return st.tuples(st.integers(3, 4), st.integers(0, 3)).flatmap(
+        lambda nd: st.tuples(bodies(*nd, kind), bodies(*nd, kind)))
+
+
+def assert_close(got, want, scale):
+    """Equal to 1e-12 of a Hadamard bound: signed weights can cancel and
+    degenerate atoms vanish, so the value itself is no scale."""
+    assert abs(got - want) <= 1e-12 * scale
+
+
+class TestLengthAndPairingAgainstPerAtomOracle:
+    @ENGINE
+    @given(body_pairs("square"))
+    def test_length_rational_norms_exact(self, pair):
+        for z in pair:
+            got = zn.length(z)
+            assert isinstance(got, Fraction)
+            assert got == oracle_length(z)
+
+    @ENGINE
+    @given(body_pairs("rational"))
+    def test_length_rational_rows(self, pair):
+        for z in pair:
+            got, want = zn.length(z), oracle_length(z)
+            if isinstance(want, float):
+                # an atom of weight 0 or with a zero row is an exact 0 here,
+                # so got may still be a Fraction
+                assert_close(got, want, hadamard(z))
+            else:
+                assert isinstance(got, Fraction) and got == want
+
+    @ENGINE
+    @given(body_pairs("float"))
+    def test_length_float(self, pair):
+        # on the floats themselves the formula loses half the digits on a
+        # degenerate atom (its Gram root is sqrt(rounding error)) and
+        # raises when that error is negative, so it runs on their exact
+        # binary values
+        for z in pair:
+            exact = binary_rationals(z)
+            assert_close(zn.length(z), oracle_length(exact), hadamard(z))
+
+    @ENGINE
+    @given(st.sampled_from(("square", "rational")).flatmap(body_pairs))
+    def test_pairing_exact(self, pair):
+        a, b = pair
+        got = zn.pairing(a, b)
+        assert isinstance(got, Fraction)
+        assert got == oracle_pairing(a, b) == zn.pairing(b, a)
+
+    @ENGINE
+    @given(body_pairs("float"))
+    def test_pairing_float(self, pair):
+        a, b = map(binary_rationals, pair)
+        assert_close(zn.pairing(*pair), oracle_pairing(a, b),
+                     hadamard(pair[0]) * hadamard(pair[1]))
+
+    def test_empty_body(self):
+        empty = zn.VirtualZonoid(3, 2, [])
+        assert zn.length(empty) == 0
+        assert zn.pairing(empty, empty) == 0
+
+
+@st.composite
+def centers(draw, n, d, num):
+    keys = list(itertools.combinations(range(n), d))
+    picked = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    return ExteriorElement(n, d, {k: num(draw(COORDS)) for k in picked})
+
+
+class TestJsonRoundTrip:
+    @ENGINE
+    @given(st.data())
+    def test_atoms_center_and_length_survive(self, data):
+        n, d = data.draw(st.integers(3, 4)), data.draw(st.integers(0, 3))
+        kind = data.draw(st.sampled_from(("rational", "square", "float")))
+        num = float if kind == "float" else Fraction
+        z = data.draw(bodies(n, d, kind)).translate(
+            data.draw(centers(n, d, num)))
+        back = zn.from_json(json.loads(json.dumps(zn.to_json(z))))
+        assert (back.ambient_dim, back.degree) == (n, d)
+        assert [(w, v.factors) for w, v in back.atoms] == [
+            (w, v.factors) for w, v in z.atoms]
+        values = [x for w, v in back.atoms
+                  for x in (w, *itertools.chain(*v.factors))]
+        assert all(isinstance(x, float) == (kind == "float") for x in values)
+        # an exact integer comes back a plain int, not a Fraction
+        assert all(type(x) is int for x in values
+                   if not isinstance(x, float) and x.denominator == 1)
+        assert (back.center and back.center.coords) == (
+            z.center and z.center.coords)
+        assert zn.length(back) == zn.length(z)

@@ -304,6 +304,9 @@ def cmd_sphere(args):
 def _num(x):
     if isinstance(x, Fraction):
         return str(x)
+    if isinstance(x, float) and not math.isfinite(x):
+        # JSON has no inf or nan
+        raise ArithmeticError(f"{x} is not a finite number (float overflow)")
     return x
 
 

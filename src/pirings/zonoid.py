@@ -36,8 +36,10 @@ from .exterior import (
 from .sphere_ring import ball_wedge_length, kappa
 
 # a float Gram determinant carries an error of a few machine epsilons
-# times the Hadamard bound prod |v_i|^2; below this share it counts as zero
-_GRAM_REL_TOL = 64 * sys.float_info.epsilon
+# times the Hadamard bound prod |v_i|^2, so a float norm below the root of
+# that share of prod |v_i| counts as zero; comparing norms rather than
+# their squares keeps an overflow from passing for a zero
+_NORM_REL_TOL = math.sqrt(64 * sys.float_info.epsilon)
 
 
 class VirtualZonoid:
@@ -232,7 +234,7 @@ def _products(zs):
 
     Each term stands for the atom scale * W [rows].  Terms that vanish
     are left out: exactly on exact input, and relative to the Hadamard
-    bound prod |row|^2 on float input.
+    bound prod |row| on float input.
     """
     exact, scale, groups = _grouped(zs)
     n = zs[0].ambient_dim
@@ -242,7 +244,7 @@ def _products(zs):
         if exact:
             if norm == 0:
                 continue
-        elif norm ** 2 <= _GRAM_REL_TOL * math.prod(dot(r, r) for r in rows):
+        elif norm <= _NORM_REL_TOL * math.prod(math.hypot(*r) for r in rows):
             continue
         terms.append((w, rows, norm))
     return scale, terms

@@ -206,6 +206,14 @@ class TestZonoid:
                                 "not a number (use an integer, a finite "
                                 'decimal or "p/q")\n')
 
+    def test_float_overflow_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"ambient": 2, "degree": 1,
+                                    "atoms": [{"w": 1, "v": [[1e200, 0]]}]}))
+        code, err = run_err(capsys, "zonoid", "length", "-f", str(path))
+        assert code == 1
+        assert err == "error: inf is not a finite number (float overflow)\n"
+
     def test_tiny_square_stays_exact(self, capsys, tmp_path):
         tiny = {"ambient": 2, "degree": 1,
                 "atoms": [{"w": 1, "v": [["1/100000000", 0]]},

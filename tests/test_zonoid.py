@@ -474,6 +474,15 @@ class TestExactRegressions:
         got = zn.crofton_evaluate(plane, seg(3, (0, 0, 1.0)))
         assert got == 0 and isinstance(got, float)
 
+    def test_huge_float_input(self):
+        # norms are compared with prod |row|, not squared, so 1e200 neither
+        # overflows the comparison nor passes for a zero
+        big = seg(2, (1e200, 0.0))
+        assert zn.mixed_volume([big, seg(2, (0.0, 1.0))]) == pytest.approx(
+            5e199, rel=1e-12)
+        # the Gram determinant 1e400 overflows: inf, not 0.0
+        assert zn.length(big) == math.inf
+
     def test_degree_zero_factors_do_not_vanish(self):
         two = zn.VirtualZonoid(2, 0, [(2, SimpleVector(2, ()))])
         w = zn.wedge([two, two, unit_square()])

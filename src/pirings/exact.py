@@ -74,7 +74,7 @@ def int_det(matrix):
     return _bareiss(m, n) * m[n - 1][n - 1]
 
 
-def _integer_row(row):
+def integer_row(row):
     """(ints, scale): the row times the lcm of its denominators, and that lcm."""
     row = [x if isinstance(x, int) else Fraction(x) for x in row]
     scale = math.lcm(*(x.denominator for x in row))
@@ -87,9 +87,29 @@ def bareiss_det(matrix):
     Each row is scaled to integers, int_det eliminates, and the product
     of the row scales is divided back out.
     """
-    rows = [_integer_row(row) for row in matrix]
+    rows = [integer_row(row) for row in matrix]
     return Fraction(int_det([ints for ints, _ in rows]),
                     math.prod(scale for _, scale in rows))
+
+
+P61 = (1 << 61) - 1  # a Mersenne prime
+
+
+def rank_mod_p(rows):
+    """Rank over GF(P61) of a matrix of ints, given as its rows: never
+    above the rank over Q, and the entries stay small, unlike over Z."""
+    pivots = []  # (column, row with 1 there and 0 at earlier pivots)
+    for row in rows:
+        row = [x % P61 for x in row]
+        for c, prow in pivots:
+            a = row[c]
+            if a:
+                row = [(x - a * y) % P61 for x, y in zip(row, prow)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            inv = pow(row[c], -1, P61)
+            pivots.append((c, [x * inv % P61 for x in row]))
+    return len(pivots)
 
 
 def bareiss_solve(matrix, rhs):
@@ -105,7 +125,7 @@ def bareiss_solve(matrix, rhs):
     n = len(matrix)
     if len(rhs) != n or any(len(row) != n for row in matrix):
         raise ValueError("need a square matrix and a matching right-hand side")
-    m = [_integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
+    m = [integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
     if not _bareiss(m, n + 1):
         raise ValueError("singular matrix")
     det = m[n - 1][n - 1] if n else 1

@@ -5,8 +5,8 @@ wedge norms and inner products come straight from Gram determinants.
 General elements carry sparse coordinates indexed by sorted tuples of
 basis indices (0-based).
 
-Exact input never touches numpy: it is imported only on the float paths
-(the float branch of det, span ranks and factorize_simple).
+Exact input never touches numpy: it is imported only in the float
+branch of det.
 """
 
 from fractions import Fraction
@@ -14,10 +14,10 @@ import itertools
 import math
 import operator
 
-from .exact import bareiss_det, exact_sqrt, is_exact
+from .exact import (bareiss_det, exact_sqrt, int_det, integer_row, is_exact,
+                    rank_mod_p)
 
 COORD_CAP = 10**6
-DEFAULT_RANK_TOL = 1e-9
 
 
 def dot(a, b):
@@ -71,8 +71,6 @@ def wedge_inner(a, b):
         raise ValueError("ambient dimension mismatch")
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
-    if a.degree == 0:
-        return Fraction(1) if _all_exact(a) and _all_exact(b) else 1.0
     gram = [[dot(v, w) for w in b.factors] for v in a.factors]
     return det(gram)
 
@@ -124,9 +122,6 @@ class ExteriorElement:
         keys = self.coords.keys() & other.coords.keys()
         return sum(self.coords[k] * other.coords[k] for k in keys)
 
-    def norm(self):
-        return exact_sqrt(sum(c * c for c in self.coords.values()))
-
     def scale(self, a):
         return ExteriorElement(
             self.ambient_dim, self.degree,
@@ -155,9 +150,6 @@ def expand(s):
     """Coordinates of a simple vector: d x d minors of the factor matrix."""
     n, d = s.ambient_dim, s.degree
     _check_cap(n, d)
-    if d == 0:
-        one = Fraction(1) if _all_exact(s) else 1.0
-        return ExteriorElement(n, 0, {(): one})
     coords = {}
     for idx in itertools.combinations(range(n), d):
         minor = [[s.factors[r][i] for i in idx] for r in range(d)]
@@ -220,78 +212,51 @@ def hodge_star(x, orientation=1):
     return ExteriorElement(n, n - x.degree, coords)
 
 
-def span_rank(vs, rel_tol=DEFAULT_RANK_TOL):
-    """Numeric rank of the span of simple vectors, via expanded coordinates."""
+def plucker_rows(vs):
+    """Pluecker coordinates of simple vectors with exact factors, as rows
+    of ints: the d x d minors over index sets in lexicographic order, each
+    factor scaled to integers first (a positive multiple of the row).
+    Float factors raise ValueError: their rank would need a tolerance."""
     vs = list(vs)
     if not vs:
-        return 0
+        return []
     n, d = vs[0].ambient_dim, vs[0].degree
-    for v in vs:
-        if v.ambient_dim != n or v.degree != d:
-            raise ValueError("mixed ambient dimension or degree")
     _check_cap(n, d)
-    import numpy as np
     keys = list(itertools.combinations(range(n), d))
-    key_pos = {k: i for i, k in enumerate(keys)}
-    mat = np.zeros((len(vs), len(keys)))
-    for r, v in enumerate(vs):
-        for idx, c in expand(v).coords.items():
-            mat[r, key_pos[idx]] = float(c)
-    return rank_of_matrix(mat, rel_tol)
+    rows = []
+    for v in vs:
+        if v.ambient_dim != n or v.degree != d or not _all_exact(v):
+            raise ValueError("span ranks need simple vectors of one shape "
+                             "with int or Fraction factors")
+        fs = [integer_row(f)[0] for f in v.factors]
+        rows.append([int_det([[f[i] for i in idx] for f in fs])
+                     for idx in keys])
+    return rows
 
 
-def rank_of_matrix(mat, rel_tol=DEFAULT_RANK_TOL):
-    """Rank by SVD; singular values below rel_tol * sigma_max count as zero."""
-    import numpy as np
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if len(sv) == 0 or sv[0] == 0:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
+def span_rank(vs):
+    """Exact rank of the span of simple vectors with exact factors."""
+    return rank_mod_p(plucker_rows(vs))
 
 
 def factorize_simple(elem):
-    """Recover a simple-vector factorization from coordinates.
-
-    Returns a SimpleVector s with expand(s) equal to elem up to float
-    error.  Only valid for elements that really are simple; used by the
-    Hodge dual of zonoid atoms, where simplicity is guaranteed.
-    """
+    """Factors of a nonzero simple element x, exact on exact input: with J
+    the index set of the largest |x_J|, factor i is +-x_{(J - j_i) + k},
+    k = 0..N-1, the sign that of sorting k into the place of j_i.  These
+    wedge to x_J^(d-1) x, so the first is divided by x_J^(d-1)."""
     n, d = elem.ambient_dim, elem.degree
     if d == 0:
         raise ValueError("degree-0 elements have no factor list")
-    if d == n:
-        # scalar multiple of the volume form
-        c = elem.coords.get(tuple(range(n)), 0)
-        basis = [[Fraction(1) if i == j else Fraction(0) for i in range(n)]
-                 for j in range(n)]
-        basis[0] = [c * x for x in basis[0]]
-        return SimpleVector(n, basis)
-    import numpy as np
-    # the span of a simple element x is the kernel of v -> v ^ x
-    cols = []
-    for j in range(n):
-        ej = ExteriorElement(n, 1, {(j,): 1})
-        w = wedge_elements(ej, elem)
-        col = np.zeros(math.comb(n, d + 1))
-        keys = list(itertools.combinations(range(n), d + 1))
-        pos = {k: i for i, k in enumerate(keys)}
-        for idx, c in w.coords.items():
-            col[pos[idx]] = float(c)
-        cols.append(col)
-    mat = np.array(cols).T  # maps R^n -> Lambda^{d+1}
-    u, sv, vt = np.linalg.svd(mat)
-    # kernel basis: rows of vt with the d smallest singular values
-    basis = vt[n - d:, :]
-    s = SimpleVector(n, [tuple(row) for row in basis])
-    e = expand(s)
-    scale2 = sum(float(c) ** 2 for c in e.coords.values())
-    if scale2 == 0:
-        raise ValueError("element is zero or not simple")
-    # align scale and sign with the target element
-    proj = sum(float(e.coords.get(k, 0.0)) * float(c)
-               for k, c in elem.coords.items())
-    factor = proj / scale2
-    first = [factor * x for x in basis[0]]
-    return SimpleVector(n, [tuple(first)] + [tuple(r) for r in basis[1:]])
+    if not elem.coords:
+        raise ValueError("the zero element has no factor list")
+    top, xj = max(elem.coords.items(), key=lambda kv: abs(kv[1]))
+    factors = []
+    for i, ji in enumerate(top):
+        rest = top[:i] + top[i + 1:]
+        factors.append([
+            (-1) ** sum(min(ji, k) < j < max(ji, k) for j in rest)
+            * elem.coords.get(tuple(sorted(rest + (k,))), 0)
+            for k in range(n)])
+    scale = (Fraction(xj) if is_exact(xj) else xj) ** (d - 1)
+    factors[0] = [c / scale for c in factors[0]]
+    return SimpleVector(n, factors)

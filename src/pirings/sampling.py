@@ -17,8 +17,6 @@ calling thread before run_blocks starts any worker.
 
 import math
 
-from .exterior import SimpleVector
-
 BLOCK = 1 << 13
 DEFAULT_Z = 3.0
 
@@ -235,13 +233,6 @@ class SamplerZonoid:
 def gaussian_ball(ambient_dim):
     """The unit ball of R^N as a sampler zonoid: sqrt(2 pi) * K(Gaussian)."""
     return SamplerZonoid(math.sqrt(2 * math.pi), GaussianSampler(ambient_dim))
-
-
-def sample_schubert(parts, k, m, rng):
-    """One draw of the rotated Schubert simple vector for a diagram."""
-    s = SchubertSampler(parts, k, m)
-    arr = s.draw(rng, 1)[0]
-    return SimpleVector(k * m, [tuple(row) for row in arr])
 
 
 def small_det(a):

@@ -10,14 +10,14 @@ from fractions import Fraction
 import itertools
 import math
 
-from .exterior import SimpleVector, span_rank, wedge_inner
+from .exact import rank_mod_p
+from .exterior import SimpleVector, dot, plucker_rows, span_rank
 from .sampling import (
     Estimate,
     FixedSampler,
     SamplerZonoid,
     SchubertSampler,
     mc_wedge_length,
-    sample_schubert,
     substream,
 )
 
@@ -246,78 +246,91 @@ def mc_schubert_shape(lams, k, m, samples, seed, workers=1):
     return mc_wedge_length(zs, samples, seed, workers)
 
 
-def verify_span_decomposition(k, m, d, samples=200, tol=1e-9, seed=0):
+def rational_schubert(parts, k, m, rng, size):
+    """size rotates of the Schubert vector of a diagram with integer
+    coordinates: box (i, j) goes to P e_i (x) R f_j, each of P and R being
+    (I - S) adj(I + S), det(I + S) times the Cayley rotation of a skew S
+    with entries uniform on [-B, B], B = 4 k m (k + m).  A fraction-free
+    Gauss-Jordan elimination of [I + S | I - S] builds it; no pivot is
+    zero, as the leading minors of I + S are at least 1.
+    """
+    lam = as_diagram(parts)
+    if not lam.fits(k, m):
+        raise ValueError("diagram does not fit the rectangle")
+    box = 4 * k * m * (k + m)
+    rotations = []
+    for n, cols in ((k, len(lam)), (m, lam[0])):
+        pairs = list(itertools.combinations(range(n), 2))
+        out = []
+        for skew in rng.integers(-box, box + 1, (size, len(pairs))).tolist():
+            g = [[int(a == b) for b in range(n)] * 2 for a in range(n)]
+            for (a, b), x in zip(pairs, skew):
+                g[a][b], g[b][a], g[a][n + b], g[b][n + a] = x, -x, -x, x
+            prev = 1
+            for i in range(n):
+                pivot_row = g[i]
+                pivot = pivot_row[i]
+                g = [row if r == i else [(x * pivot - row[i] * y) // prev
+                                         for x, y in zip(row, pivot_row)]
+                     for r, row in enumerate(g)]
+                prev = pivot
+            out.append([[row[n + j] for row in g] for j in range(cols)])
+        rotations.append(out)
+    return [SimpleVector(k * m, [[x * y for x in p[i] for y in r[j]]
+                                 for i, j in lam.boxes()])
+            for p, r in zip(*rotations)]
+
+
+def verify_span_decomposition(k, m, d, samples=200, seed=0):
     """Check the orthogonal decomposition of degree-d wedges of R^k (x) R^m.
 
-    Samples orbits of each Schubert vector of size d, compares span
-    ranks to the Schur dimensions, checks cross-orbit orthogonality, and
-    checks wedge-span ranks against the LR prediction.
+    Draws rational orbits of each Schubert vector of size d
+    (rational_schubert) and compares their span ranks to the Schur
+    dimensions, checks cross-orbit orthogonality with exact integer inner
+    products, and compares wedge-span ranks to the LR prediction.  A rank
+    over GF(2^61 - 1) is never above the rank over Q, which is never above
+    the Schur or LR dimension, so a match proves both.  A coordinate of at
+    most k m boxes has degree at most k m (k + m) < (2B + 1) / 8 in the
+    skew entries, so by Schwartz-Zippel N draws whose span has dimension r fall
+    short of rank r with probability at most C(N, r-1) 8^(r-1-N).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    import numpy as np
     diagrams = [YoungDiagram(p) for p in _partitions(d, k, m)]
     report = {"k": k, "m": m, "d": d, "orbits": {}, "wedges": {}, "ok": True}
-    mats = {}
     # every draw uses the one key seed, on its own slot
     slots = itertools.count()
-    for lam in diagrams:
-        rng = substream(seed, next(slots))
-        vs = [sample_schubert(lam.parts, k, m, rng) for _ in range(samples)]
-        rank = span_rank(vs, tol)
-        expected = span_dim(lam, k, m)
-        report["orbits"][str(lam.parts)] = {
+
+    def draw(lam):
+        return rational_schubert(lam.parts, k, m,
+                                 substream(seed, next(slots)), samples)
+
+    def record(group, key, rank, expected):
+        report[group][key] = {
             "rank": rank, "expected": expected, "match": rank == expected}
         report["ok"] &= rank == expected
-        mats[lam] = _coord_matrix(vs)
+
+    rows = {lam: plucker_rows(draw(lam)) for lam in diagrams}
+    for lam in diagrams:
+        record("orbits", str(lam.parts), rank_mod_p(rows[lam]),
+               span_dim(lam, k, m))
     total = sum(span_dim(lam, k, m) for lam in diagrams)
     report["total"] = {"sum": total, "ambient": math.comb(k * m, d),
                        "match": total == math.comb(k * m, d)}
     report["ok"] &= report["total"]["match"]
-    max_cross = 0.0
-    for a, b in itertools.combinations(diagrams, 2):
-        cross = np.abs(mats[a] @ mats[b].T).max()
-        max_cross = max(max_cross, float(cross))
-    report["max_cross_inner"] = max_cross
-    report["orthogonal"] = max_cross < tol
+    report["max_cross_inner"] = max(
+        (abs(dot(x, y)) for a, b in itertools.combinations(diagrams, 2)
+         for x in rows[a] for y in rows[b]), default=0)
+    report["orthogonal"] = report["max_cross_inner"] == 0
     report["ok"] &= report["orthogonal"]
     # wedge spans: rank of sampled V_lam ^ V_mu should match the LR sum
     for a, b in itertools.combinations_with_replacement(diagrams, 2):
-        if a.size + b.size > k * m:
-            continue
-        rng_a = substream(seed, next(slots))
-        rng_b = substream(seed, next(slots))
-        ws = []
-        for _ in range(samples):
-            va = sample_schubert(a.parts, k, m, rng_a)
-            vb = sample_schubert(b.parts, k, m, rng_b)
-            ws.append(SimpleVector(k * m, va.factors + vb.factors))
-        # the relative rank tolerance is meaningless when every sampled
-        # wedge is numerically zero; that is rank 0 (the Gram determinant
-        # noise floor sits at machine epsilon, well below tol)
-        if max(abs(wedge_inner(w, w)) for w in ws) < tol:
-            rank = 0
-        else:
-            rank = span_rank(ws, tol)
-        expected = sum(span_dim(nu, k, m) for nu in lr_set(a, b, k, m))
-        key = f"{a.parts}^{b.parts}"
-        report["wedges"][key] = {
-            "rank": rank, "expected": expected, "match": rank == expected}
-        report["ok"] &= rank == expected
+        if a.size + b.size <= k * m:
+            rank = span_rank(SimpleVector(k * m, va.factors + vb.factors)
+                             for va, vb in zip(draw(a), draw(b)))
+            record("wedges", f"{a.parts}^{b.parts}", rank,
+                   sum(span_dim(nu, k, m) for nu in lr_set(a, b, k, m)))
     return report
-
-
-def _coord_matrix(vs):
-    import numpy as np
-    from .exterior import expand
-    n, d = vs[0].ambient_dim, vs[0].degree
-    keys = list(itertools.combinations(range(n), d))
-    pos = {kk: i for i, kk in enumerate(keys)}
-    mat = np.zeros((len(vs), len(keys)))
-    for r, v in enumerate(vs):
-        for idx, c in expand(v).coords.items():
-            mat[r, pos[idx]] = float(c)
-    return mat
 
 
 def edeg22_calibrated(samples, seed, workers=1, z=3.0):

@@ -20,7 +20,6 @@ from fractions import Fraction
 import itertools
 import json
 import math
-import sys
 
 from .exact import exact_sqrt, int_det, is_exact
 from .exterior import (
@@ -37,9 +36,8 @@ from .sphere_ring import ball_wedge_length, kappa
 
 # a float Gram determinant carries an error of a few machine epsilons
 # times the Hadamard bound prod |v_i|^2, so a float norm below the root of
-# that share of prod |v_i| counts as zero; comparing norms rather than
-# their squares keeps an overflow from passing for a zero
-_NORM_REL_TOL = math.sqrt(64 * sys.float_info.epsilon)
+# that share, sqrt(64 * 2^-52), of prod |v_i| counts as zero
+_NORM_REL_TOL = 2.0 ** -23
 
 
 class VirtualZonoid:
@@ -99,9 +97,9 @@ def support(z, u):
     """Support function h_z(u) for a direction u given as an ExteriorElement."""
     if u.ambient_dim != z.ambient_dim or u.degree != z.degree:
         raise ValueError("degree mismatch")
-    total = 0
-    for w, v in z.atoms:
-        total += w * Fraction(1, 2) * abs(expand(v).inner(u))
+    _, den, atoms = _canonical(z)
+    total = sum((w * abs(expand(SimpleVector(z.ambient_dim, rows)).inner(u))
+                 for w, rows in atoms), start=0) * Fraction(1, 2 * den)
     if z.center is not None:
         total += z.center.inner(u)
     return total
@@ -221,32 +219,40 @@ def _terms(groups):
         yield w, rows
 
 
-def _norm(rows, n, exact):
+def _norm(rows, n, det_=int_det):
     """|rows[0] ^ ... ^ rows[-1]|: |det| for n rows, else the Gram root."""
-    det_ = int_det if exact else det
     if len(rows) == n:
         return abs(det_(rows))
     return exact_sqrt(max(det_([[dot(x, y) for y in rows] for x in rows]), 0))
 
 
+def _float_norm(rows, n):
+    """_norm of float rows, each first scaled by a power of two to entries
+    below 1 so that nothing overflows: 0.0 at or below _NORM_REL_TOL times
+    the Hadamard bound prod |row|, inf when too large for a float."""
+    shifts = [math.frexp(max(map(abs, r)))[1] for r in rows]
+    rows = [[math.ldexp(x, -e) for x in r] for r, e in zip(rows, shifts)]
+    norm = _norm(rows, n, det)
+    if norm <= _NORM_REL_TOL * math.prod(math.hypot(*r) for r in rows):
+        return 0.0
+    try:
+        return math.ldexp(norm, sum(shifts))
+    except OverflowError:
+        return math.inf
+
+
 def _products(zs):
     """(scale, terms) of the product of zs, terms as (W, rows, norm).
 
-    Each term stands for the atom scale * W [rows].  Terms that vanish
-    are left out: exactly on exact input, and relative to the Hadamard
-    bound prod |row| on float input.
-    """
+    Each term stands for the atom scale * W [rows]; terms of norm 0 (exact
+    or, on float input, as _float_norm rounds it) are left out."""
     exact, scale, groups = _grouped(zs)
     n = zs[0].ambient_dim
     terms = []
     for w, rows in _terms(groups):
-        norm = _norm(rows, n, exact)
-        if exact:
-            if norm == 0:
-                continue
-        elif norm <= _NORM_REL_TOL * math.prod(math.hypot(*r) for r in rows):
-            continue
-        terms.append((w, rows, norm))
+        norm = _norm(rows, n) if exact else _float_norm(rows, n)
+        if norm:
+            terms.append((w, rows, norm))
     return scale, terms
 
 
@@ -362,15 +368,19 @@ def crofton_evaluate_graded(parts, K):
 
 
 def hodge_dual(z, orientation=1):
-    """Hodge dual: atoms and center mapped through the star isometry."""
+    """Hodge dual: canonical atoms (those of nonzero wedge) and center
+    mapped through the star isometry; exact on exact input."""
     n = z.ambient_dim
+    _, den, canon = _canonical(z)
     atoms = []
-    for w, v in z.atoms:
-        star = hodge_star(expand(v), orientation)
+    for w, rows in canon:
+        w *= Fraction(1, den)
+        star = hodge_star(expand(SimpleVector(n, rows)), orientation)
+        if star.is_zero():
+            continue
         if star.degree == 0:
             # orientation is not part of the zonoid data, keep the weight sign
-            c = abs(star.coords.get((), 0))
-            atoms.append((w * c, SimpleVector(n, ())))
+            atoms.append((w * abs(star.coords[()]), SimpleVector(n, ())))
         else:
             atoms.append((w, factorize_simple(star)))
     center = None

@@ -208,9 +208,15 @@ class TestZonoid:
 
     def test_float_overflow_exits_1(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps({"ambient": 2, "degree": 1,
-                                    "atoms": [{"w": 1, "v": [[1e200, 0]]}]}))
-        code, err = run_err(capsys, "zonoid", "length", "-f", str(path))
+        huge = {"ambient": 2, "degree": 1,
+                "atoms": [{"w": 1, "v": [[1e200, 0]]}]}
+        path.write_text(json.dumps(huge))
+        data = run_json(capsys, "zonoid", "length", "-f", str(path))
+        assert data["lengths"] == [1e200]
+        # the mixed volume 5e399 is not a float
+        other = {**huge, "atoms": [{"w": 1, "v": [[0, 1e200]]}]}
+        path.write_text(json.dumps([huge, other]))
+        code, err = run_err(capsys, "zonoid", "mixed-volume", "-f", str(path))
         assert code == 1
         assert err == "error: inf is not a finite number (float overflow)\n"
 
@@ -385,6 +391,26 @@ def test_exact_command_does_not_import_numpy(tmp_path, argv):
 def test_monte_carlo_command_imports_numpy(tmp_path):
     argv = ("cpn", "tasaki", "--n", "2", "--mc", "--samples", "1000")
     assert probe_modules(argv, tmp_path).startswith("exit=0 numpy=True ")
+
+
+def test_exact_star_exp_does_not_import_numpy(tmp_path):
+    # vol(K + L) through the Crofton valuation of star(e^L), all exact
+    code = """\
+import sys
+from fractions import Fraction
+from pirings import zonoid as zn
+from pirings.exterior import SimpleVector
+L = zn.VirtualZonoid(3, 1, [(1, SimpleVector(3, [(1, 2, 0)])),
+                            (Fraction(1, 2), SimpleVector(3, [(0, 1, -1)]))])
+K = zn.VirtualZonoid(3, 1, [(1, SimpleVector(3, [(1, 0, 0)])),
+                            (1, SimpleVector(3, [(0, 1, 0)])),
+                            (1, SimpleVector(3, [(0, 0, 1)]))])
+value = zn.crofton_evaluate_graded(zn.star_exp(L), K)
+print(type(value).__name__, value == zn.volume(K + L), "numpy" in sys.modules)
+"""
+    proc = fresh_python(code, (), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["Fraction", "True", "False"]
 
 
 def test_cli_import_loads_every_module(tmp_path):

@@ -169,6 +169,33 @@ class TestBareissSolve:
             ex.bareiss_solve([[1]], [1, 2])
 
 
+@st.composite
+def low_rank(draw):
+    """Integer matrices A B with inner dimension r, so rank at most r."""
+    rows, cols, r = (draw(st.integers(lo, 6)) for lo in (1, 1, 0))
+    a = [[draw(small_ints) for _ in range(r)] for _ in range(rows)]
+    b = [[draw(small_ints) for _ in range(cols)] for _ in range(r)]
+    return [[sum(a[i][t] * b[t][j] for t in range(r)) for j in range(cols)]
+            for i in range(rows)]
+
+
+class TestRankModP:
+    @settings(max_examples=100, deadline=None)
+    @given(low_rank())
+    def test_matches_rank_over_q(self, rows):
+        sympy = pytest.importorskip("sympy")
+        assert ex.rank_mod_p(rows) == sympy.Matrix(rows).rank()
+
+    def test_huge_entries(self):
+        big = 3**200
+        assert ex.rank_mod_p([[big, 1], [2 * big, 2], [1, big]]) == 2
+
+    def test_never_above_rank_over_q(self):
+        # the prime itself is zero mod p
+        assert ex.rank_mod_p([[ex.P61, 0], [0, 1]]) == 1
+        assert ex.rank_mod_p([]) == 0
+
+
 class TestGammaHalf:
     def test_integers(self):
         assert ex.gamma_half(2) == PiScalar(1)

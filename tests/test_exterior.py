@@ -2,12 +2,14 @@ import itertools
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from pirings import exterior as ex
 from pirings.exterior import ExteriorElement, SimpleVector
-from pirings.sampling import sample_schubert, substream
+from pirings.sampling import substream
+from pirings.schubert import rational_schubert
 
 
 def e(n, i):
@@ -176,12 +178,31 @@ class TestSpanRank:
 
     def test_schubert_box_orbit(self):
         rng = substream(17, 0)
-        vs = [sample_schubert((1,), 2, 2, rng) for _ in range(200)]
+        vs = rational_schubert((1,), 2, 2, rng, 200)
         assert ex.span_rank(vs) == 4
 
     def test_mixed_degree_rejected(self):
         with pytest.raises(ValueError):
             ex.span_rank([e(3, 0), SimpleVector(3, [(1, 0, 0), (0, 1, 0)])])
+
+    def test_float_factors_rejected(self):
+        with pytest.raises(ValueError):
+            ex.span_rank([e(3, 0), SimpleVector(3, [(0.5, 1, 0)])])
+
+
+RATIONALS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def rational_simple(draw):
+    """Nonzero simple vectors of degree 1 to N in R^N, N <= 5, with
+    rational factors."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, n))
+    s = SimpleVector(n, draw(st.lists(
+        st.lists(RATIONALS, min_size=n, max_size=n), min_size=d, max_size=d)))
+    assume(not ex.expand(s).is_zero())
+    return s
 
 
 class TestFactorizeSimple:
@@ -200,3 +221,15 @@ class TestFactorizeSimple:
             for idx in set(elem.coords) | set(redone.coords):
                 assert abs(float(elem.coords.get(idx, 0.0))
                            - float(redone.coords.get(idx, 0.0))) < 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_simple())
+    def test_exact_round_trip(self, s):
+        elem = ex.expand(s)
+        back = ex.factorize_simple(elem)
+        assert all(type(x) in (int, Fraction) for f in back.factors for x in f)
+        assert ex.expand(back).coords == elem.coords
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            ex.factorize_simple(ExteriorElement(3, 2))

@@ -242,8 +242,8 @@ class TestSchubertSampler:
     def test_unit_norm(self):
         rng = sp.substream(10, 0)
         from pirings.exterior import wedge_norm
-        for _ in range(20):
-            v = sp.sample_schubert((2, 1), 2, 3, rng)
+        for factors in sp.SchubertSampler((2, 1), 2, 3).draw(rng, 20):
+            v = SimpleVector(6, factors)
             assert float(wedge_norm([v])) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagram_must_fit(self):

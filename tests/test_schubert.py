@@ -1,4 +1,5 @@
 import math
+import operator
 
 import pytest
 
@@ -197,6 +198,26 @@ class TestSpanDecomposition:
             assert {k for k, _, _ in used} == {seed}
             assert len(used) == len(runs[seed]) == 2 + 2 * 3
         assert not runs[5] & runs[6]
+
+    @pytest.mark.parametrize("k, m, d", [(2, 3, 2), (2, 3, 3)])
+    @pytest.mark.parametrize("seed", [101, 202, 303])
+    def test_exact_ranks_and_orthogonality(self, k, m, d, seed):
+        report = sb.verify_span_decomposition(k, m, d, seed=seed)
+        assert report["max_cross_inner"] == 0
+        for info in [*report["orbits"].values(), *report["wedges"].values()]:
+            assert info["rank"] == info["expected"]
+        assert report["ok"]
+
+    def test_rational_rotates_have_orthogonal_boxes(self):
+        # box (i, j) is P e_i (x) R f_j: the factors are orthogonal, each
+        # of squared length (c_P c_R)^2
+        for v in sb.rational_schubert((2, 1), 2, 3, sp.substream(9, 0), 20):
+            gram = [[sum(map(operator.mul, f, g)) for g in v.factors]
+                    for f in v.factors]
+            c = gram[0][0]
+            assert c > 0
+            assert gram == [[c * (i == j) for j in range(3)] for i in range(3)]
+            assert all(type(x) is int for f in v.factors for x in f)
 
 
 class TestEdeg:

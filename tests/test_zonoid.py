@@ -10,8 +10,8 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from pirings import zonoid as zn
-from pirings.exterior import (ExteriorElement, SimpleVector, wedge_inner,
-                              wedge_norm)
+from pirings.exterior import (ExteriorElement, SimpleVector, expand,
+                              hodge_star, wedge_inner, wedge_norm)
 
 
 def seg(n, vec, w=1):
@@ -475,13 +475,14 @@ class TestExactRegressions:
         assert got == 0 and isinstance(got, float)
 
     def test_huge_float_input(self):
-        # norms are compared with prod |row|, not squared, so 1e200 neither
-        # overflows the comparison nor passes for a zero
+        # rows are scaled by powers of two before the Gram determinant and
+        # the pruning bound, so 1e200 neither overflows nor passes for a zero
         big = seg(2, (1e200, 0.0))
         assert zn.mixed_volume([big, seg(2, (0.0, 1.0))]) == pytest.approx(
             5e199, rel=1e-12)
-        # the Gram determinant 1e400 overflows: inf, not 0.0
-        assert zn.length(big) == math.inf
+        assert zn.length(big) == 1e200
+        # a true overflow (5e399) is inf, not 0.0
+        assert zn.mixed_volume([big, seg(2, (0.0, 1e200))]) == math.inf
 
     def test_degree_zero_factors_do_not_vanish(self):
         two = zn.VirtualZonoid(2, 0, [(2, SimpleVector(2, ()))])
@@ -687,3 +688,40 @@ class TestJsonRoundTrip:
         assert (back.center and back.center.coords) == (
             z.center and z.center.coords)
         assert zn.length(back) == zn.length(z)
+
+
+# --- exact Hodge duals ----------------------------------------------------
+
+def shapes():
+    """(n, d) with n in 3, 4 and d from 0 to n."""
+    return st.integers(3, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n)))
+
+
+class TestHodgeDualProperties:
+    @ENGINE
+    @given(st.data())
+    def test_dual_atom_expands_to_star(self, data):
+        n, d = data.draw(shapes())
+        rows = data.draw(st.lists(vectors(n), min_size=d, max_size=d))
+        w = data.draw(WEIGHTS.filter(bool))
+        v = SimpleVector(n, rows)
+        star = hodge_star(expand(v)).scale(w)
+        dual = zn.hodge_dual(zn.VirtualZonoid.segment(v, w)).atoms
+        if star.is_zero():
+            assert dual == []
+            return
+        (wd, vd), = dual
+        assert all(type(x) in (int, Fraction)
+                   for x in (wd, *itertools.chain(*vd.factors)))
+        got = expand(vd).scale(wd)
+        assert got.coords in (star.coords, (-star).coords)
+
+    @ENGINE
+    @given(st.data())
+    def test_double_dual_keeps_support(self, data):
+        n, d = data.draw(shapes())
+        z = data.draw(bodies(n, d))
+        u = data.draw(centers(n, d, Fraction))
+        assert zn.support(zn.hodge_dual(zn.hodge_dual(z)), u) == zn.support(
+            z, u)

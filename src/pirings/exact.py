@@ -1,10 +1,12 @@
 """Exact scalar arithmetic helpers.
 
 Everything in here is exact: fractions.Fraction, or Python ints inside
-the fraction-free eliminations.  Scalars that involve powers of pi are
-PiScalars: finite sums of rational multiples of pi**e, with e rational.
+the fraction-free eliminations; a float is read by its binary value.
+Scalars that involve powers of pi are PiScalars: finite sums of rational
+multiples of pi**e, with e rational.
 """
 
+import contextlib
 from fractions import Fraction
 import math
 
@@ -13,21 +15,35 @@ def is_exact(x):
     return isinstance(x, (int, Fraction))
 
 
+def rounded(x, inexact):
+    """x, or when inexact its nearest float, +-inf past the float range:
+    the one rounding of an exact result computed from float input."""
+    try:
+        return float(x) if inexact else x
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def exact_sqrt(x):
     """Square root that stays a Fraction when x is a perfect square.
 
-    Falls back to a float otherwise.
+    Falls back to a float otherwise: math.sqrt(float(x)) when float(x) is
+    a normal float, else the integer root of x scaled by 4^k to about 128
+    bits, so that a root of a value beyond the float range is not lost.
     """
-    if is_exact(x):
-        f = Fraction(x)
-        if f < 0:
-            raise ValueError("negative argument")
-        p = math.isqrt(f.numerator)
-        q = math.isqrt(f.denominator)
-        if p * p == f.numerator and q * q == f.denominator:
-            return Fraction(p, q)
-        return math.sqrt(float(f))
-    return math.sqrt(x)
+    if not is_exact(x):
+        return math.sqrt(x)
+    if x < 0:
+        raise ValueError("negative argument")
+    n, d = x.as_integer_ratio()
+    p, q = math.isqrt(n), math.isqrt(d)
+    if p * p == n and q * q == d:
+        return Fraction(p, q)
+    with contextlib.suppress(OverflowError):
+        if (y := n / d) >= 2.0 ** -1022:  # the least normal float
+            return math.sqrt(y)
+    two_k = Fraction(2) ** ((d.bit_length() - n.bit_length()) // 2 + 64)
+    return rounded(math.isqrt(n * two_k ** 2 // d) / two_k, True)
 
 
 def _bareiss(m, width):
@@ -75,21 +91,23 @@ def int_det(matrix):
 
 
 def integer_row(row):
-    """(ints, scale): the row times the lcm of its denominators, and that lcm."""
-    row = [x if isinstance(x, int) else Fraction(x) for x in row]
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row], scale
+    """(ints, scale): the row times the lcm of its denominators, and that
+    lcm; a float is read by its exact binary value."""
+    ratios = [x.as_integer_ratio() for x in row]
+    scale = math.lcm(*[d for _, d in ratios])
+    return [p * (scale // d) for p, d in ratios], scale
 
 
 def bareiss_det(matrix):
-    """Determinant of a matrix of ints and Fractions, as a Fraction.
+    """Determinant as a Fraction, rounded once when an entry is a float.
 
     Each row is scaled to integers, int_det eliminates, and the product
     of the row scales is divided back out.
     """
     rows = [integer_row(row) for row in matrix]
-    return Fraction(int_det([ints for ints, _ in rows]),
-                    math.prod(scale for _, scale in rows))
+    value = Fraction(int_det([ints for ints, _ in rows]),
+                     math.prod(scale for _, scale in rows))
+    return rounded(value, not all(is_exact(x) for row in matrix for x in row))
 
 
 P61 = (1 << 61) - 1  # a Mersenne prime
@@ -109,6 +127,8 @@ def rank_mod_p(rows):
         if c is not None:
             inv = pow(row[c], -1, P61)
             pivots.append((c, [x * inv % P61 for x in row]))
+            if len(pivots) == len(row):
+                break  # full column rank: no later row can add a pivot
     return len(pivots)
 
 

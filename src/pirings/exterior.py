@@ -5,8 +5,9 @@ wedge norms and inner products come straight from Gram determinants.
 General elements carry sparse coordinates indexed by sorted tuples of
 basis indices (0-based).
 
-Exact input never touches numpy: it is imported only in the float
-branch of det.
+Every determinant is exact.bareiss_det: a Fraction on int and Fraction
+entries, and the exact value rounded once to a float when an entry is a
+float.
 """
 
 from fractions import Fraction
@@ -22,14 +23,6 @@ COORD_CAP = 10**6
 
 def dot(a, b):
     return sum(map(operator.mul, a, b))
-
-
-def det(rows):
-    """Determinant, exact when every entry is int/Fraction."""
-    if all(is_exact(x) for row in rows for x in row):
-        return bareiss_det(rows)
-    import numpy as np
-    return float(np.linalg.det(np.array(rows, dtype=float)))
 
 
 def _check_cap(n, d):
@@ -72,7 +65,7 @@ def wedge_inner(a, b):
     if a.degree != b.degree:
         raise ValueError("degree mismatch")
     gram = [[dot(v, w) for w in b.factors] for v in a.factors]
-    return det(gram)
+    return bareiss_det(gram)
 
 
 def wedge_norm(parts):
@@ -153,7 +146,7 @@ def expand(s):
     coords = {}
     for idx in itertools.combinations(range(n), d):
         minor = [[s.factors[r][i] for i in idx] for r in range(d)]
-        val = det(minor)
+        val = bareiss_det(minor)
         if val != 0:
             coords[idx] = val
     return ExteriorElement(n, d, coords)
@@ -216,7 +209,8 @@ def plucker_rows(vs):
     """Pluecker coordinates of simple vectors with exact factors, as rows
     of ints: the d x d minors over index sets in lexicographic order, each
     factor scaled to integers first (a positive multiple of the row).
-    Float factors raise ValueError: their rank would need a tolerance."""
+    Float factors raise ValueError: the rank of rounded coordinates says
+    nothing about the rank of the vectors they round."""
     vs = list(vs)
     if not vs:
         return []

@@ -6,9 +6,11 @@ simple vectors in an exterior power of R^N.  Support, length, pairing,
 wedge products and the derived volume functionals are all finite sums,
 so they stay exact on rational input.
 
-Products go through one engine.  A body on exact input is brought to
-canonical atoms: primitive integer factor rows (first nonzero entry
-positive) whose contents move into the weight, with equal rows merged.
+Products go through one engine.  A body is brought to canonical atoms:
+primitive integer factor rows (first nonzero entry positive) whose
+contents move into the weight, with equal rows merged.  A float is a
+binary rational, so a body with floats is read by its exact value, and
+the exact result is rounded once to a float at the end.
 A power K^(wedge m) of a body of positive degree is m! times the sum
 over m-subsets of its atoms, because a repeated atom wedges to zero and
 the m! orderings of a subset give the same segment (Shephard 1974,
@@ -21,11 +23,10 @@ import itertools
 import json
 import math
 
-from .exact import exact_sqrt, int_det, is_exact
+from .exact import exact_sqrt, int_det, integer_row, is_exact, rounded
 from .exterior import (
     ExteriorElement,
     SimpleVector,
-    det,
     dot,
     expand,
     factorize_simple,
@@ -33,11 +34,6 @@ from .exterior import (
     wedge_elements,
 )
 from .sphere_ring import ball_wedge_length, kappa
-
-# a float Gram determinant carries an error of a few machine epsilons
-# times the Hadamard bound prod |v_i|^2, so a float norm below the root of
-# that share, sqrt(64 * 2^-52), of prod |v_i| counts as zero
-_NORM_REL_TOL = 2.0 ** -23
 
 
 class VirtualZonoid:
@@ -97,9 +93,10 @@ def support(z, u):
     """Support function h_z(u) for a direction u given as an ExteriorElement."""
     if u.ambient_dim != z.ambient_dim or u.degree != z.degree:
         raise ValueError("degree mismatch")
-    _, den, atoms = _canonical(z)
+    inexact, den, atoms = _canonical(z)
     total = sum((w * abs(expand(SimpleVector(z.ambient_dim, rows)).inner(u))
                  for w, rows in atoms), start=0) * Fraction(1, 2 * den)
+    total = rounded(total, inexact)
     if z.center is not None:
         total += z.center.inner(u)
     return total
@@ -122,19 +119,17 @@ def pairing(a, b):
     """
     if (a.ambient_dim, a.degree) != (b.ambient_dim, b.degree):
         raise ValueError("degree mismatch")
-    a_exact, a_den, a_atoms = _canonical(a)
-    b_exact, b_den, b_atoms = _canonical(b)
-    det_ = int_det if a_exact and b_exact else det
-    total = sum((wa * wb * abs(det_([[dot(x, y) for y in rb] for x in ra]))
+    a_inexact, a_den, a_atoms = _canonical(a)
+    b_inexact, b_den, b_atoms = _canonical(b)
+    total = sum((wa * wb * abs(int_det([[dot(x, y) for y in rb] for x in ra]))
                  for wa, ra in a_atoms for wb, rb in b_atoms), start=0)
-    return total * Fraction(1, a_den * b_den)
+    return rounded(total * Fraction(1, a_den * b_den), a_inexact or b_inexact)
 
 
 def _primitive(f):
     """(row, c, q) with f = +-(c/q) * row, row primitive with first nonzero
     entry > 0 and c, q > 0 ints; a zero vector gives (None, 0, 1)."""
-    q = math.lcm(*(x.denominator for x in f))
-    ints = [x.numerator * (q // x.denominator) for x in f]
+    ints, q = integer_row(f)
     c = math.gcd(*ints)
     if c == 0:
         return None, 0, 1
@@ -144,20 +139,20 @@ def _primitive(f):
 
 
 def _canonical(z):
-    """(exact, den, atoms): the atoms as (W, rows), each standing for W/den * rows.
+    """(inexact, den, atoms): the atoms as (W, rows), each standing for
+    W/den * rows, and whether a weight or coordinate of z is a float.
 
-    An exact body (every weight and coordinate an int or Fraction) gets
-    primitive integer rows, equal rows merged, zero atoms dropped, atoms
-    sorted and int W over the least common denominator.  Any other body
-    passes through unchanged with den = 1.  Weights are summed as
+    Rows are primitive integer rows, equal rows are merged, zero atoms
+    dropped, atoms sorted and W ints over the least common denominator.
+    Every number is read through as_integer_ratio(), a float by its exact
+    binary value (exact.integer_row), and weights are summed as
     numerator/denominator pairs of ints, with no Fraction arithmetic.
     """
-    if not all(is_exact(w) and all(is_exact(x) for f in v.factors for x in f)
-               for w, v in z.atoms):
-        return False, 1, tuple((w, v.factors) for w, v in z.atoms)
+    inexact = not all(is_exact(w) and all(is_exact(x) for f in v.factors
+                                          for x in f) for w, v in z.atoms)
     merged = {}
     for w, v in z.atoms:
-        num, den, rows = w.numerator, w.denominator, []
+        (num, den), rows = w.as_integer_ratio(), []
         for f in v.factors:
             row, c, q = _primitive(f)
             num *= c
@@ -170,17 +165,17 @@ def _canonical(z):
             for rows, ws in merged.items())
     atoms = sorted((rows, w) for rows, w in sums if w)
     g = math.gcd(common, *(w for _, w in atoms))
-    return True, common // g, tuple((w // g, rows) for rows, w in atoms)
+    return inexact, common // g, tuple((w // g, rows) for rows, w in atoms)
 
 
 def _grouped(zs):
-    """(exact, scale, groups) of the product of zs, groups as [(atoms, m)].
+    """(inexact, scale, groups) of the product of zs, groups as [(atoms, m)].
 
     The product is scale times the sum over an m-subset of the canonical
-    atoms of each group of (prod W) [all rows], with
-    scale = prod m! / den^m (a float on float input).  Equal bodies of
-    positive degree form one group; a degree-0 atom does not wedge to zero
-    with itself, so degree-0 bodies stay apart.
+    atoms of each group of (prod W) [all rows], with the Fraction
+    scale = prod m! / den^m; inexact tells whether an input held a float.
+    Equal bodies of positive degree form one group; a degree-0 atom does
+    not wedge to zero with itself, so degree-0 bodies stay apart.
     """
     zs = list(zs)
     if not zs:
@@ -188,23 +183,21 @@ def _grouped(zs):
     n = zs[0].ambient_dim
     if sum(z.degree for z in zs) > n:
         raise ValueError("degree overflow")
-    groups, index = [], {}
+    inexact, groups, index = False, [], {}
     for z in zs:
         if z.ambient_dim != n:
             raise ValueError("ambient dimension mismatch")
-        key = (z.degree, *_canonical(z))
+        z_inexact, den, atoms = _canonical(z)
+        inexact = inexact or z_inexact
+        key = (z.degree, den, atoms)
         if z.degree and key in index:
             groups[index[key]][1] += 1
         else:
             index[key] = len(groups)
             groups.append([key, 1])
-    exact, scale = True, Fraction(1)
-    for (_, z_exact, den, _), m in groups:
-        exact = exact and z_exact
-        scale *= Fraction(math.factorial(m), den ** m)
-    if not exact:
-        scale = float(scale)
-    return exact, scale, [(atoms, m) for (*_, atoms), m in groups]
+    scale = math.prod((Fraction(math.factorial(m), den ** m)
+                       for (_, den, _), m in groups), start=Fraction(1))
+    return inexact, scale, [(atoms, m) for (*_, atoms), m in groups]
 
 
 def _terms(groups):
@@ -219,47 +212,41 @@ def _terms(groups):
         yield w, rows
 
 
-def _norm(rows, n, det_=int_det):
+def _norm(rows, n):
     """|rows[0] ^ ... ^ rows[-1]|: |det| for n rows, else the Gram root."""
     if len(rows) == n:
-        return abs(det_(rows))
-    return exact_sqrt(max(det_([[dot(x, y) for y in rows] for x in rows]), 0))
-
-
-def _float_norm(rows, n):
-    """_norm of float rows, each first scaled by a power of two to entries
-    below 1 so that nothing overflows: 0.0 at or below _NORM_REL_TOL times
-    the Hadamard bound prod |row|, inf when too large for a float."""
-    shifts = [math.frexp(max(map(abs, r)))[1] for r in rows]
-    rows = [[math.ldexp(x, -e) for x in r] for r, e in zip(rows, shifts)]
-    norm = _norm(rows, n, det)
-    if norm <= _NORM_REL_TOL * math.prod(math.hypot(*r) for r in rows):
-        return 0.0
-    try:
-        return math.ldexp(norm, sum(shifts))
-    except OverflowError:
-        return math.inf
+        return abs(int_det(rows))
+    return exact_sqrt(int_det([[dot(x, y) for y in rows] for x in rows]))
 
 
 def _products(zs):
-    """(scale, terms) of the product of zs, terms as (W, rows, norm).
-
-    Each term stands for the atom scale * W [rows]; terms of norm 0 (exact
-    or, on float input, as _float_norm rounds it) are left out."""
-    exact, scale, groups = _grouped(zs)
+    """(inexact, scale, terms) of the product of zs, terms as
+    (W, rows, norm): each stands for the atom scale * W [rows], and the
+    terms of norm 0 are left out."""
+    inexact, scale, groups = _grouped(zs)
     n = zs[0].ambient_dim
     terms = []
     for w, rows in _terms(groups):
-        norm = _norm(rows, n) if exact else _float_norm(rows, n)
+        norm = _norm(rows, n)
         if norm:
             terms.append((w, rows, norm))
-    return scale, terms
+    return inexact, scale, terms
 
 
-def _wedge_length(zs):
-    """length(wedge(zs)), summed without building the product atoms."""
-    scale, terms = _products(zs)
-    return scale * sum((w * norm for w, _, norm in terms), start=0)
+def _wedge_length(zs, factor=1):
+    """factor * length(wedge(zs)), rounded once on float input.  A sum with
+    an irrational (float) norm is taken in floats, or exactly on the norms'
+    binary values when a weight or the scale is beyond the float range."""
+    inexact, scale, terms = _products(zs)
+    try:
+        total = sum((w * norm for w, _, norm in terms), start=0)
+        if not isinstance(total, float) or (
+                math.isfinite(total) and float(scale) >= 2.0 ** -1022):
+            return rounded(factor * (scale * total), inexact)
+    except OverflowError:
+        pass
+    total = sum(w * Fraction(norm) for w, _, norm in terms)
+    return rounded(factor * scale * total, True)
 
 
 def wedge(zs):
@@ -271,17 +258,16 @@ def wedge(zs):
     center c has mean segment expectation 2c).
     """
     zs = list(zs)
-    scale, terms = _products(zs)
+    inexact, scale, terms = _products(zs)
     n = zs[0].ambient_dim
-    atoms = [(scale * w, SimpleVector(n, rows)) for w, rows, _ in terms]
+    atoms = [(rounded(scale * w, inexact), SimpleVector(n, rows))
+             for w, rows, _ in terms]
     center = None
     if all(z.center is not None for z in zs):
         c = zs[0].center
         for z in zs[1:]:
             c = wedge_elements(c, z.center)
         center = c.scale(2 ** (len(zs) - 1))
-        if center.is_zero():
-            center = None
     return VirtualZonoid(n, sum(z.degree for z in zs), atoms, center)
 
 
@@ -291,7 +277,7 @@ def mixed_volume(zs):
     if (not zs or len(zs) != zs[0].ambient_dim
             or any(z.degree != 1 for z in zs)):
         raise ValueError("need exactly n zonoids of degree 1 in R^n")
-    return _wedge_length(zs) / math.factorial(len(zs))
+    return _wedge_length(zs, Fraction(1, math.factorial(len(zs))))
 
 
 def volume(z):
@@ -310,14 +296,11 @@ def intrinsic_volume(z, d):
         raise ValueError("d out of range")
     if d == 0:
         return 1
-    ell = _wedge_length([z] * d)
     # binom(n,d)/kappa_{n-d} * MV(z[d], B[n-d]); the ball factor collapses
     # the constant to an exact rational
     factor = (ball_wedge_length(n, d, n - d, 1) / kappa(n - d)
               * math.comb(n, d) / math.factorial(n)).rational()
-    if is_exact(ell):
-        return factor * ell
-    return float(factor) * ell
+    return _wedge_length([z] * d, factor)
 
 
 def exp_truncated(L, max_degree):
@@ -346,20 +329,22 @@ def crofton_evaluate(L, K):
         raise ValueError("ambient dimension mismatch")
     d = L.degree
     if d == 0:
-        return sum((w for w, _ in L.atoms), start=0)
-    l_exact, l_den, l_atoms = _canonical(L)
-    k_exact, k_den, k_atoms = _canonical(K)
-    exact = l_exact and k_exact
+        inexact = not all(is_exact(w) for w, _ in L.atoms)
+        return rounded(sum((Fraction(w) if inexact else w
+                            for w, _ in L.atoms), start=0), inexact)
+    l_inexact, l_den, l_atoms = _canonical(L)
+    k_inexact, k_den, k_atoms = _canonical(K)
     picks = [(math.prod(k_atoms[j][0] for j in s), s)
              for s in itertools.combinations(range(len(k_atoms)), d)]
-    total = 0 if exact else 0.0
+    total = 0
     for wl, rows in l_atoms:
         table = [[dot(a, k) for _, (k,) in k_atoms] for a in rows]
         for wk, s in picks:
             block = [[t[j] for j in s] for t in table]
-            total += wl * wk * abs(int_det(block) if exact else det(block))
+            total += wl * wk * abs(int_det(block))
     # the d! orderings of each d-subset of K cancel the 1/d! of the valuation
-    return total * Fraction(1, l_den * k_den ** d)
+    return rounded(total * Fraction(1, l_den * k_den ** d),
+                   l_inexact or k_inexact)
 
 
 def crofton_evaluate_graded(parts, K):
@@ -369,9 +354,10 @@ def crofton_evaluate_graded(parts, K):
 
 def hodge_dual(z, orientation=1):
     """Hodge dual: canonical atoms (those of nonzero wedge) and center
-    mapped through the star isometry; exact on exact input."""
+    mapped through the star isometry; exact rows, and float weights on
+    float input."""
     n = z.ambient_dim
-    _, den, canon = _canonical(z)
+    inexact, den, canon = _canonical(z)
     atoms = []
     for w, rows in canon:
         w *= Fraction(1, den)
@@ -380,12 +366,11 @@ def hodge_dual(z, orientation=1):
             continue
         if star.degree == 0:
             # orientation is not part of the zonoid data, keep the weight sign
-            atoms.append((w * abs(star.coords[()]), SimpleVector(n, ())))
+            atoms.append((rounded(w * abs(star.coords[()]), inexact),
+                          SimpleVector(n, ())))
         else:
-            atoms.append((w, factorize_simple(star)))
-    center = None
-    if z.center is not None:
-        center = hodge_star(z.center, orientation)
+            atoms.append((rounded(w, inexact), factorize_simple(star)))
+    center = None if z.center is None else hodge_star(z.center, orientation)
     return VirtualZonoid(n, n - z.degree, atoms, center)
 
 

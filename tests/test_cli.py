@@ -220,6 +220,19 @@ class TestZonoid:
         assert code == 1
         assert err == "error: inf is not a finite number (float overflow)\n"
 
+    def test_length_beyond_the_float_range(self, capsys, tmp_path):
+        # the Gram determinant is about 1e400, beyond the floats, but its
+        # root, the length, is about 1e200 in both spellings
+        path = tmp_path / "big.json"
+        lengths = []
+        for big, one, zero in ((10**100, 1, 0), (1e100, 1.0, 0.0)):
+            path.write_text(json.dumps(
+                {"ambient": 3, "degree": 2, "atoms": [
+                    {"w": one, "v": [[big, one, zero], [zero, one, big]]}]}))
+            data = run_json(capsys, "zonoid", "length", "-f", str(path))
+            lengths += data["lengths"]
+        assert lengths == [1e200, 1e200]
+
     def test_tiny_square_stays_exact(self, capsys, tmp_path):
         tiny = {"ambient": 2, "degree": 1,
                 "atoms": [{"w": 1, "v": [["1/100000000", 0]]},
@@ -384,6 +397,18 @@ def probe_modules(argv, cwd):
 ], ids=" ".join)
 def test_exact_command_does_not_import_numpy(tmp_path, argv):
     write_inputs(tmp_path)
+    assert probe_modules(argv, tmp_path) == (
+        "exit=0 numpy=False dataclasses=False inspect=False")
+
+
+@pytest.mark.parametrize("action", ["length", "mixed-volume"])
+def test_float_zonoid_command_does_not_import_numpy(tmp_path, action):
+    # a float body runs on its exact binary value, with no float kernel
+    floats = {"ambient": 2, "degree": 1,
+              "atoms": [{"w": 0.5, "v": [[1.5, 0.25]]},
+                        {"w": 1.0, "v": [[0.1, 2.0]]}]}
+    (tmp_path / "floats.json").write_text(json.dumps(floats))
+    argv = ("zonoid", action, "-f", "floats.json")
     assert probe_modules(argv, tmp_path) == (
         "exit=0 numpy=False dataclasses=False inspect=False")
 

@@ -23,6 +23,24 @@ class TestExactSqrt:
         with pytest.raises(ValueError):
             ex.exact_sqrt(Fraction(-1))
 
+    def test_normal_floats_take_math_sqrt(self):
+        for x in (Fraction(2, 3), 10**300 + 1, Fraction(1, 10**300 + 1)):
+            assert ex.exact_sqrt(x) == math.sqrt(float(x))
+
+    @pytest.mark.parametrize("x", [3 * 10**400, Fraction(3, 10**400),
+                                   10**400 + 2 * 10**200])
+    def test_beyond_the_float_range(self, x):
+        # float(x) overflows or underflows, but the root is a normal float
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            want = float(mpmath.sqrt(mpmath.mpf(x.numerator) / x.denominator))
+        got = ex.exact_sqrt(x)
+        assert isinstance(got, float) and got == want
+
+    def test_root_beyond_the_float_range(self):
+        assert ex.exact_sqrt(2**2100 + 1) == math.inf
+        assert ex.exact_sqrt(Fraction(1, 2**2200 + 1)) == 0.0
+
 
 class TestBareiss:
     def test_examples(self):
@@ -189,6 +207,16 @@ class TestRankModP:
     def test_huge_entries(self):
         big = 3**200
         assert ex.rank_mod_p([[big, 1], [2 * big, 2], [1, big]]) == 2
+
+    def test_tall_matrix_stops_at_full_column_rank(self):
+        def rows():
+            yield from ([2, 0, 0], [0, 0, 0], [1, 3, 0], [4, 6, 0], [5, 1, 7])
+            raise AssertionError("a row was read after full column rank")
+
+        assert ex.rank_mod_p(rows()) == 3
+        # tall and rank-deficient: every row is read
+        tall = [[i, 2 * i, i * i] for i in range(40)]
+        assert ex.rank_mod_p(tall) == 2
 
     def test_never_above_rank_over_q(self):
         # the prime itself is zero mod p

@@ -475,14 +475,27 @@ class TestExactRegressions:
         assert got == 0 and isinstance(got, float)
 
     def test_huge_float_input(self):
-        # rows are scaled by powers of two before the Gram determinant and
-        # the pruning bound, so 1e200 neither overflows nor passes for a zero
+        # a float body is computed on its exact binary value and rounded
+        # once, so 1e200 neither overflows nor passes for a zero
         big = seg(2, (1e200, 0.0))
         assert zn.mixed_volume([big, seg(2, (0.0, 1.0))]) == pytest.approx(
             5e199, rel=1e-12)
         assert zn.length(big) == 1e200
         # a true overflow (5e399) is inf, not 0.0
         assert zn.mixed_volume([big, seg(2, (0.0, 1e200))]) == math.inf
+
+    @pytest.mark.parametrize("num", [float, Fraction])
+    def test_length_whose_canonical_weights_leave_the_float_range(self, num):
+        # weights over a common denominator beyond 2^1024, or a scale
+        # 1/den below the least normal float, while the length is normal
+        wide = zn.VirtualZonoid(2, 1, [
+            (num(1), SimpleVector(2, [(num(1), num(1))])),
+            (num(1), SimpleVector(2, [(num(1e-300) / 10**10, 0)]))])
+        assert zn.length(wide) == math.sqrt(2)
+        tiny = [[num(x) * num(1e-100) for x in r]
+                for r in ((1, 2, 0, 0), (0, 1, 3, 0), (0, 0, 1, 1))]
+        got = zn.length(zn.VirtualZonoid(4, 3, [(1, SimpleVector(4, tiny))]))
+        assert got == pytest.approx(math.sqrt(47) * 1e-300, rel=1e-12, abs=0)
 
     def test_degree_zero_factors_do_not_vanish(self):
         two = zn.VirtualZonoid(2, 0, [(2, SimpleVector(2, ()))])
@@ -524,6 +537,19 @@ def binary_rationals(z):
         (Fraction(w), SimpleVector(z.ambient_dim,
                                    [map(Fraction, f) for f in v.factors]))
         for w, v in z.atoms])
+
+
+def as_floats(z):
+    """z with every weight and coordinate made a float."""
+    return zn.VirtualZonoid(z.ambient_dim, z.degree, [
+        (float(w), SimpleVector(z.ambient_dim,
+                                [map(float, f) for f in v.factors]))
+        for w, v in z.atoms])
+
+
+def holds_float(*bodies):
+    return any(isinstance(x, float) for z in bodies for w, v in z.atoms
+               for x in (w, *itertools.chain(*v.factors)))
 
 
 def rotation_rows(a, b, c, e):
@@ -657,6 +683,37 @@ class TestLengthAndPairingAgainstPerAtomOracle:
         empty = zn.VirtualZonoid(3, 2, [])
         assert zn.length(empty) == 0
         assert zn.pairing(empty, empty) == 0
+
+
+class TestFloatInputIsRoundedOnce:
+    """A float is a binary rational: a functional of float bodies is the
+    same functional of their exact binary values, rounded once."""
+
+    @ENGINE
+    @given(st.integers(2, 3).flatmap(body_lists))
+    def test_mixed_volume(self, bodies):
+        floats = [as_floats(b) for b in bodies]
+        got = zn.mixed_volume(floats)
+        assert isinstance(got, float)
+        assert got == float(zn.mixed_volume(map(binary_rationals, floats)))
+
+    @ENGINE
+    @given(body_pairs("float"))
+    def test_pairing(self, pair):
+        got = zn.pairing(*pair)
+        assert isinstance(got, float) == holds_float(*pair)
+        assert got == float(zn.pairing(*map(binary_rationals, pair)))
+
+    @ENGINE
+    @given(st.data())
+    def test_crofton(self, data):
+        d = data.draw(st.integers(0, 3))
+        L = as_floats(data.draw(valuations(3, d)))
+        K = as_floats(data.draw(zonotopes(3, min_atoms=d, max_atoms=4)))
+        got = zn.crofton_evaluate(L, K)
+        assert isinstance(got, float)
+        assert got == float(zn.crofton_evaluate(binary_rationals(L),
+                                                binary_rationals(K)))
 
 
 @st.composite

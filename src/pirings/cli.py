@@ -217,9 +217,8 @@ def cmd_schubert(args):
                 "coefficients": {str(nu.parts): c for nu, c in
                                  sorted(table.items(), key=lambda x: x[0].parts)}}
     if args.action == "spans":
-        report = schubert.verify_span_decomposition(
+        return schubert.verify_span_decomposition(
             k, m, args.d, samples=args.spans_samples, seed=_seed(args))
-        return report
     if args.action == "shape":
         lams = [_diagram(t) for t in args.diagrams.split("|")]
         est = schubert.mc_schubert_shape(
@@ -229,7 +228,7 @@ def cmd_schubert(args):
                 "max_sample": est.max_value}
     if args.action == "edeg22":
         est = schubert.edeg22_calibrated(args.samples, _seed(args),
-                                         args.workers, args.z)
+                                         args.workers)
         out = {"estimate": est.to_json(args.z)}
         out["components"] = {k2: v.to_json(args.z)
                              for k2, v in est.components.items()}

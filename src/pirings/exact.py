@@ -9,10 +9,13 @@ multiples of pi**e, with e rational.
 import contextlib
 from fractions import Fraction
 import math
+import numbers
 
 
 def is_exact(x):
-    return isinstance(x, (int, Fraction))
+    # numpy integers are Rational; a float is ruled out before the slow ABC
+    return not isinstance(x, float) and isinstance(
+        x, (int, Fraction, numbers.Rational))
 
 
 def rounded(x, inexact):
@@ -35,7 +38,7 @@ def exact_sqrt(x):
         return math.sqrt(x)
     if x < 0:
         raise ValueError("negative argument")
-    n, d = x.as_integer_ratio()
+    (n,), d = integer_row([x])
     p, q = math.isqrt(n), math.isqrt(d)
     if p * p == n and q * q == d:
         return Fraction(p, q)
@@ -92,8 +95,14 @@ def int_det(matrix):
 
 def integer_row(row):
     """(ints, scale): the row times the lcm of its denominators, and that
-    lcm; a float is read by its exact binary value."""
-    ratios = [x.as_integer_ratio() for x in row]
+    lcm.  The exact kernels read their numbers here: a float by its exact
+    binary value, and one without as_integer_ratio (a numpy integer)
+    through Fraction."""
+    try:
+        ratios = [x.as_integer_ratio() for x in row]
+    except AttributeError:
+        ratios = [(int(f.numerator), int(f.denominator))
+                  for f in map(Fraction, row)]
     scale = math.lcm(*[d for _, d in ratios])
     return [p * (scale // d) for p, d in ratios], scale
 
@@ -113,23 +122,28 @@ def bareiss_det(matrix):
 P61 = (1 << 61) - 1  # a Mersenne prime
 
 
-def rank_mod_p(rows):
-    """Rank over GF(P61) of a matrix of ints, given as its rows: never
-    above the rank over Q, and the entries stay small, unlike over Z."""
-    pivots = []  # (column, row with 1 there and 0 at earlier pivots)
-    for row in rows:
+def pivot_rows_mod_p(rows):
+    """Indices of the rows of a matrix of ints independent over GF(P61),
+    hence over Q, of the rows before them; mod P61 entries stay small."""
+    pivots = {}  # index: (column, row with 1 there and 0 at earlier pivots)
+    for i, row in enumerate(rows):
         row = [x % P61 for x in row]
-        for c, prow in pivots:
+        for c, prow in pivots.values():
             a = row[c]
             if a:
                 row = [(x - a * y) % P61 for x, y in zip(row, prow)]
         c = next((j for j, x in enumerate(row) if x), None)
         if c is not None:
             inv = pow(row[c], -1, P61)
-            pivots.append((c, [x * inv % P61 for x in row]))
+            pivots[i] = (c, [x * inv % P61 for x in row])
             if len(pivots) == len(row):
                 break  # full column rank: no later row can add a pivot
-    return len(pivots)
+    return list(pivots)
+
+
+def rank_mod_p(rows):
+    """Rank over GF(P61) of a matrix of ints: never above the rank over Q."""
+    return len(pivot_rows_mod_p(rows))
 
 
 def bareiss_solve(matrix, rhs):

@@ -5,9 +5,9 @@ wedge norms and inner products come straight from Gram determinants.
 General elements carry sparse coordinates indexed by sorted tuples of
 basis indices (0-based).
 
-Every determinant is exact.bareiss_det: a Fraction on int and Fraction
-entries, and the exact value rounded once to a float when an entry is a
-float.
+Every determinant is exact: exact.bareiss_det for Gram determinants and
+integer minors of the factors scaled to integers for coordinates, each
+rounded once to a float when an input number is a float.
 """
 
 from fractions import Fraction
@@ -16,7 +16,7 @@ import math
 import operator
 
 from .exact import (bareiss_det, exact_sqrt, int_det, integer_row, is_exact,
-                    rank_mod_p)
+                    rank_mod_p, rounded)
 
 COORD_CAP = 10**6
 
@@ -25,11 +25,15 @@ def dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
-def _check_cap(n, d):
+def _minors(rows, n):
+    """The coordinates of the wedge of d integer rows of length n: their
+    d x d minors, keyed by the index sets in lexicographic order."""
+    d = len(rows)
     if math.comb(n, d) > COORD_CAP:
         raise ValueError(
-            f"binom({n},{d}) exceeds the coordinate cap of {COORD_CAP}"
-        )
+            f"binom({n},{d}) exceeds the coordinate cap of {COORD_CAP}")
+    return {idx: int_det([[f[i] for i in idx] for f in rows])
+            for idx in itertools.combinations(range(n), d)}
 
 
 class SimpleVector:
@@ -140,16 +144,16 @@ class ExteriorElement:
 
 
 def expand(s):
-    """Coordinates of a simple vector: d x d minors of the factor matrix."""
-    n, d = s.ambient_dim, s.degree
-    _check_cap(n, d)
-    coords = {}
-    for idx in itertools.combinations(range(n), d):
-        minor = [[s.factors[r][i] for i in idx] for r in range(d)]
-        val = bareiss_det(minor)
-        if val != 0:
-            coords[idx] = val
-    return ExteriorElement(n, d, coords)
+    """Coordinates of a simple vector: the d x d minors of its factors,
+    each factor scaled to integers once and the product of the scales
+    divided back out; rounded once on float input."""
+    rows = [integer_row(f) for f in s.factors]
+    scale = math.prod(q for _, q in rows)
+    inexact = not _all_exact(s)
+    minors = _minors([ints for ints, _ in rows], s.ambient_dim)
+    return ExteriorElement(s.ambient_dim, s.degree, {
+        idx: rounded(Fraction(m, scale), inexact)
+        for idx, m in minors.items() if m})
 
 
 def _merge_sign(i_tuple, j_tuple):
@@ -212,20 +216,12 @@ def plucker_rows(vs):
     Float factors raise ValueError: the rank of rounded coordinates says
     nothing about the rank of the vectors they round."""
     vs = list(vs)
-    if not vs:
-        return []
-    n, d = vs[0].ambient_dim, vs[0].degree
-    _check_cap(n, d)
-    keys = list(itertools.combinations(range(n), d))
-    rows = []
-    for v in vs:
-        if v.ambient_dim != n or v.degree != d or not _all_exact(v):
-            raise ValueError("span ranks need simple vectors of one shape "
-                             "with int or Fraction factors")
-        fs = [integer_row(f)[0] for f in v.factors]
-        rows.append([int_det([[f[i] for i in idx] for f in fs])
-                     for idx in keys])
-    return rows
+    if (len({(v.ambient_dim, v.degree) for v in vs}) > 1
+            or not all(map(_all_exact, vs))):
+        raise ValueError("span ranks need simple vectors of one shape "
+                         "with int or Fraction factors")
+    return [list(_minors([integer_row(f)[0] for f in v.factors],
+                         v.ambient_dim).values()) for v in vs]
 
 
 def span_rank(vs):

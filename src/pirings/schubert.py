@@ -10,7 +10,7 @@ from fractions import Fraction
 import itertools
 import math
 
-from .exact import rank_mod_p
+from .exact import pivot_rows_mod_p
 from .exterior import SimpleVector, dot, plucker_rows, span_rank
 from .sampling import (
     Estimate,
@@ -287,12 +287,13 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     Draws rational orbits of each Schubert vector of size d
     (rational_schubert) and compares their span ranks to the Schur
     dimensions, checks cross-orbit orthogonality with exact integer inner
-    products, and compares wedge-span ranks to the LR prediction.  A rank
-    over GF(2^61 - 1) is never above the rank over Q, which is never above
-    the Schur or LR dimension, so a match proves both.  A coordinate of at
-    most k m boxes has degree at most k m (k + m) < (2B + 1) / 8 in the
-    skew entries, so by Schwartz-Zippel N draws whose span has dimension r fall
-    short of rank r with probability at most C(N, r-1) 8^(r-1-N).
+    products between the pivot rows (a basis) of the orbits, and compares
+    wedge-span ranks to the LR prediction.  A rank over GF(2^61 - 1) is
+    never above the rank over Q, which is never above the Schur or LR
+    dimension, so a match proves both.  A coordinate of at most k m boxes
+    has degree at most k m (k + m) < (2B + 1) / 8 in the skew entries, so
+    by Schwartz-Zippel N draws whose span has dimension r fall short of
+    rank r with probability at most C(N, r-1) 8^(r-1-N).
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -310,17 +311,18 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
             "rank": rank, "expected": expected, "match": rank == expected}
         report["ok"] &= rank == expected
 
-    rows = {lam: plucker_rows(draw(lam)) for lam in diagrams}
+    basis = {}
     for lam in diagrams:
-        record("orbits", str(lam.parts), rank_mod_p(rows[lam]),
-               span_dim(lam, k, m))
+        rows = plucker_rows(draw(lam))
+        basis[lam] = [rows[i] for i in pivot_rows_mod_p(rows)]
+        record("orbits", str(lam.parts), len(basis[lam]), span_dim(lam, k, m))
     total = sum(span_dim(lam, k, m) for lam in diagrams)
     report["total"] = {"sum": total, "ambient": math.comb(k * m, d),
                        "match": total == math.comb(k * m, d)}
     report["ok"] &= report["total"]["match"]
     report["max_cross_inner"] = max(
         (abs(dot(x, y)) for a, b in itertools.combinations(diagrams, 2)
-         for x in rows[a] for y in rows[b]), default=0)
+         for x in basis[a] for y in basis[b]), default=0)
     report["orthogonal"] = report["max_cross_inner"] == 0
     report["ok"] &= report["orthogonal"]
     # wedge spans: rank of sampled V_lam ^ V_mu should match the LR sum
@@ -333,7 +335,7 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     return report
 
 
-def edeg22_calibrated(samples, seed, workers=1, z=3.0):
+def edeg22_calibrated(samples, seed, workers=1):
     """Calibrated expected degree for four random Schubert conditions on G(2,4).
 
     The unknown cell and group volumes cancel in the combination

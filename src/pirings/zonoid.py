@@ -19,6 +19,7 @@ prod_k C(#atoms of K_k, m_k) integer determinants.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 import json
 import math
@@ -42,11 +43,10 @@ class VirtualZonoid:
     def __init__(self, ambient_dim, degree, atoms=(), center=None):
         self.ambient_dim = ambient_dim
         self.degree = degree
-        self.atoms = []
-        for w, v in atoms:
-            if v.ambient_dim != ambient_dim or v.degree != degree:
-                raise ValueError("atom shape mismatch")
-            self.atoms.append((w, v))
+        self.atoms = [(w, v) for w, v in atoms]
+        if any((v.ambient_dim, v.degree) != (ambient_dim, degree)
+               for _, v in self.atoms):
+            raise ValueError("atom shape mismatch")
         if center is not None:
             if center.ambient_dim != ambient_dim or center.degree != degree:
                 raise ValueError("center shape mismatch")
@@ -59,11 +59,6 @@ class VirtualZonoid:
         """The centered segment weight * (1/2)[-v, v]."""
         return cls(v.ambient_dim, v.degree, [(weight, v)])
 
-    @classmethod
-    def scalar_one(cls, ambient_dim):
-        """The degree-0 unit (the number 1 viewed as a zonoid)."""
-        return cls(ambient_dim, 0, [(1, SimpleVector(ambient_dim, ()))])
-
     def translate(self, center):
         c = center if self.center is None else self.center + center
         return VirtualZonoid(self.ambient_dim, self.degree, self.atoms, c)
@@ -72,14 +67,9 @@ class VirtualZonoid:
         """Minkowski sum: concatenate atoms, add centers."""
         if (self.ambient_dim, self.degree) != (other.ambient_dim, other.degree):
             raise ValueError("shape mismatch")
-        if self.center is None:
-            c = other.center
-        elif other.center is None:
-            c = self.center
-        else:
-            c = self.center + other.center
-        return VirtualZonoid(self.ambient_dim, self.degree,
-                             self.atoms + other.atoms, c)
+        z = VirtualZonoid(self.ambient_dim, self.degree,
+                          self.atoms + other.atoms, self.center)
+        return z if other.center is None else z.translate(other.center)
 
     def is_genuine(self):
         return all(w >= 0 for w, _ in self.atoms)
@@ -121,9 +111,14 @@ def pairing(a, b):
         raise ValueError("degree mismatch")
     a_inexact, a_den, a_atoms = _canonical(a)
     b_inexact, b_den, b_atoms = _canonical(b)
-    total = sum((wa * wb * abs(int_det([[dot(x, y) for y in rb] for x in ra]))
-                 for wa, ra in a_atoms for wb, rb in b_atoms), start=0)
-    return rounded(total * Fraction(1, a_den * b_den), a_inexact or b_inexact)
+    return rounded(_pair(a_atoms, b_atoms) * Fraction(1, a_den * b_den),
+                   a_inexact or b_inexact)
+
+
+def _pair(a_atoms, b_atoms):
+    """The sum of W W' |det(<x_i, y_j>)| over pairs of (W, rows) atoms."""
+    return sum((wa * wb * abs(int_det([[dot(x, y) for y in rb] for x in ra]))
+                for wa, ra in a_atoms for wb, rb in b_atoms), start=0)
 
 
 def _primitive(f):
@@ -144,15 +139,16 @@ def _canonical(z):
 
     Rows are primitive integer rows, equal rows are merged, zero atoms
     dropped, atoms sorted and W ints over the least common denominator.
-    Every number is read through as_integer_ratio(), a float by its exact
-    binary value (exact.integer_row), and weights are summed as
-    numerator/denominator pairs of ints, with no Fraction arithmetic.
+    Every number is read through exact.integer_row, a float by its exact
+    binary value, and weights are summed as numerator/denominator pairs
+    of ints, with no Fraction arithmetic.
     """
     inexact = not all(is_exact(w) and all(is_exact(x) for f in v.factors
                                           for x in f) for w, v in z.atoms)
+    nums, w_den = integer_row([w for w, _ in z.atoms])
     merged = {}
-    for w, v in z.atoms:
-        (num, den), rows = w.as_integer_ratio(), []
+    for num, (_, v) in zip(nums, z.atoms):
+        den, rows = w_den, []
         for f in v.factors:
             row, c, q = _primitive(f)
             num *= c
@@ -175,12 +171,11 @@ def _grouped(zs):
     atoms of each group of (prod W) [all rows], with the Fraction
     scale = prod m! / den^m; inexact tells whether an input held a float.
     Equal bodies of positive degree form one group; a degree-0 atom does
-    not wedge to zero with itself, so degree-0 bodies stay apart.
+    not wedge to zero with itself, so degree-0 bodies stay apart.  The
+    empty product is the degree-0 unit: no group and the int scale 1.
     """
     zs = list(zs)
-    if not zs:
-        raise ValueError("empty product")
-    n = zs[0].ambient_dim
+    n = zs[0].ambient_dim if zs else 0
     if sum(z.degree for z in zs) > n:
         raise ValueError("degree overflow")
     inexact, groups, index = False, [], {}
@@ -195,8 +190,8 @@ def _grouped(zs):
         else:
             index[key] = len(groups)
             groups.append([key, 1])
-    scale = math.prod((Fraction(math.factorial(m), den ** m)
-                       for (_, den, _), m in groups), start=Fraction(1))
+    scale = math.prod(Fraction(math.factorial(m), den ** m)
+                      for (_, den, _), m in groups)
     return inexact, scale, [(atoms, m) for (*_, atoms), m in groups]
 
 
@@ -223,6 +218,8 @@ def _products(zs):
     """(inexact, scale, terms) of the product of zs, terms as
     (W, rows, norm): each stands for the atom scale * W [rows], and the
     terms of norm 0 are left out."""
+    if not zs:
+        raise ValueError("empty product")
     inexact, scale, groups = _grouped(zs)
     n = zs[0].ambient_dim
     terms = []
@@ -249,25 +246,23 @@ def _wedge_length(zs, factor=1):
     return rounded(factor * scale * total, True)
 
 
-def wedge(zs):
-    """Wedge product of virtual zonoids.
+def wedge(zs, factor=1):
+    """factor times the wedge product of virtual zonoids.
 
-    Atoms are the nonzero subset products of the canonical atoms.  The
-    center of the product is the wedge of the centers, scaled so that
-    the represented expectation product comes out right (a zonoid with
-    center c has mean segment expectation 2c).
+    Atoms are the nonzero subset products of the canonical atoms, their
+    weights rounded once on float input.  The center is the wedge of the
+    centers, scaled so that the represented expectation product comes out
+    right (a zonoid with center c has mean segment expectation 2c).
     """
     zs = list(zs)
     inexact, scale, terms = _products(zs)
     n = zs[0].ambient_dim
-    atoms = [(rounded(scale * w, inexact), SimpleVector(n, rows))
+    atoms = [(rounded(factor * scale * w, inexact), SimpleVector(n, rows))
              for w, rows, _ in terms]
     center = None
     if all(z.center is not None for z in zs):
-        c = zs[0].center
-        for z in zs[1:]:
-            c = wedge_elements(c, z.center)
-        center = c.scale(2 ** (len(zs) - 1))
+        center = functools.reduce(wedge_elements, [z.center for z in zs])
+        center = center.scale(2 ** (len(zs) - 1) * factor)
     return VirtualZonoid(n, sum(z.degree for z in zs), atoms, center)
 
 
@@ -307,43 +302,28 @@ def exp_truncated(L, max_degree):
     """Graded parts of e^L = sum_d (1/d!) L^(wedge d), degrees 0..max_degree."""
     if L.degree != 1:
         raise ValueError("exponential needs a degree-1 zonoid")
-    parts = [VirtualZonoid.scalar_one(L.ambient_dim)]
-    for d in range(1, max_degree + 1):
-        zd = wedge([L] * d)
-        inv = Fraction(1, math.factorial(d))
-        atoms = [(w * inv, v) for w, v in zd.atoms]
-        center = zd.center.scale(inv) if zd.center is not None else None
-        parts.append(VirtualZonoid(L.ambient_dim, d, atoms, center))
-    return parts
+    n = L.ambient_dim
+    return [VirtualZonoid(n, 0, [(1, SimpleVector(n, ()))])] + [
+        wedge([L] * d, Fraction(1, math.factorial(d)))
+        for d in range(1, max_degree + 1)]
 
 
 def crofton_evaluate(L, K):
-    """Crofton valuation of L at a degree-1 zonoid K: (1/d!) <L, K^(wedge d)>.
-
-    <a_1^...^a_d, k_1^...^k_d> = det(<a_i, k_j>), so each term is the
-    determinant of a d x d block of the table of dot products.
+    """Crofton valuation of L at a degree-1 zonoid K: (1/d!) <L, K^(wedge d)>,
+    the pairing of the canonical atoms of L with the engine's terms of
+    K^(wedge d), all of them, as a term of norm 0 pairs to 0.
     """
     if K.degree != 1:
         raise ValueError("K must have degree 1")
     if L.ambient_dim != K.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    d = L.degree
-    if d == 0:
-        inexact = not all(is_exact(w) for w, _ in L.atoms)
-        return rounded(sum((Fraction(w) if inexact else w
-                            for w, _ in L.atoms), start=0), inexact)
+    k_inexact, scale, groups = _grouped([K] * L.degree)
     l_inexact, l_den, l_atoms = _canonical(L)
-    k_inexact, k_den, k_atoms = _canonical(K)
-    picks = [(math.prod(k_atoms[j][0] for j in s), s)
-             for s in itertools.combinations(range(len(k_atoms)), d)]
-    total = 0
-    for wl, rows in l_atoms:
-        table = [[dot(a, k) for _, (k,) in k_atoms] for a in rows]
-        for wk, s in picks:
-            block = [[t[j] for j in s] for t in table]
-            total += wl * wk * abs(int_det(block))
-    # the d! orderings of each d-subset of K cancel the 1/d! of the valuation
-    return rounded(total * Fraction(1, l_den * k_den ** d),
+    value = scale * _pair(l_atoms, list(_terms(groups)))
+    # the d! orderings in the scale cancel the 1/d! of the valuation; at
+    # d = 0 the scale is the int 1, and a sum of int weights stays an int
+    den = l_den * math.factorial(L.degree)
+    return rounded(value if den == 1 else Fraction(value, den),
                    l_inexact or k_inexact)
 
 
@@ -375,17 +355,24 @@ def hodge_dual(z, orientation=1):
 
 
 def star_exp(L, orientation=1):
-    """Graded parts of star(e^L); evaluating them via crofton gives vol(. + L)."""
+    """Graded parts of star(e^L); evaluating them via crofton gives vol(. + L).
+    The parts of e^L are dualised at the exact value of L (its canonical
+    atoms), and each weight is rounded once on float input."""
     n = L.ambient_dim
-    return [hodge_dual(p, orientation) for p in reversed(exp_truncated(L, n))]
+    inexact, den, atoms = _canonical(L)
+    exact = VirtualZonoid(n, L.degree, [(Fraction(w, den), SimpleVector(n, rows))
+                                        for w, rows in atoms], L.center)
+    duals = (hodge_dual(p, orientation) for p in exp_truncated(exact, n))
+    return [VirtualZonoid(n, p.degree, [(rounded(w, inexact), v)
+                                        for w, v in p.atoms], p.center)
+            for p in reversed(list(duals))]
 
 
 def _num_to_json(x):
-    if isinstance(x, Fraction):
-        return str(x) if x.denominator != 1 else x.numerator
-    if isinstance(x, int):
-        return x
-    return float(x)
+    if not is_exact(x):
+        return float(x)
+    (p,), q = integer_row([x])
+    return p if q == 1 else f"{p}/{q}"
 
 
 def _num_from_json(x):

@@ -159,6 +159,17 @@ class TestZonoid:
         data = run_json(capsys, "zonoid", "length", "-f", str(path))
         assert data["lengths"] == ["2"]
 
+    def test_crofton_of_degree_zero_int_weights_is_an_int(self, capsys,
+                                                           tmp_path):
+        # the degree-0 value is the sum of the weights, an int as before
+        scalar = {"ambient": 2, "degree": 0,
+                  "atoms": [{"w": 2, "v": []}, {"w": 3, "v": []}]}
+        (tmp_path / "l.json").write_text(json.dumps(scalar))
+        (tmp_path / "k.json").write_text(json.dumps(SQUARE))
+        data = run_json(capsys, "zonoid", "crofton", "--L",
+                        str(tmp_path / "l.json"), "--K", str(tmp_path / "k.json"))
+        assert data["value"] == 5
+
     def test_missing_file(self, capsys):
         code, _ = run(capsys, "zonoid", "mixed-volume")
         assert code == 1

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pirings import cpn_ring as cp
+from pirings.cli import _parse_ring_expr
 from pirings.cpn_ring import RingElement
 from pirings.exact import PiScalar, bareiss_det
 
@@ -132,10 +133,10 @@ class TestReduceMonomial:
 PI_EXPS = [Fraction(k, 3) for k in (-2, 0, 2, 4)]
 
 
-def ring_elements(n):
+def ring_elements(n, pi_exps=PI_EXPS):
     """Random elements of the ring of CP^n, mixing powers of pi."""
     keys = [(d, j, e) for d in range(2 * n + 1) for j in cp.j_set(n, d)
-            for e in PI_EXPS]
+            for e in pi_exps]
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     return st.dictionaries(st.sampled_from(keys), coeff, max_size=4).map(
         lambda c: RingElement(n, c))
@@ -205,6 +206,20 @@ class TestRingProperties:
                 for d in set(la) | set(lb)}
         assert cp.length_by_degree(a + b) == {
             d: v for d, v in want.items() if v != 0}
+
+
+def ring_expr(e):
+    """e, with rational coefficients only, as a sum of c*s^j*t^i terms."""
+    return " + ".join(f"{c}*s^{j}*t^{d - 2 * j}"
+                      for (d, j, _), c in sorted(e.coeffs.items())) or "0"
+
+
+class TestRingExpressionRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 5).flatmap(
+        lambda n: ring_elements(n, [Fraction(0)])))
+    def test_print_then_parse(self, e):
+        assert _parse_ring_expr(e.n, ring_expr(e)) == e
 
 
 class TestMultiply:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import numpy as np
 
 from pirings import exact as ex
 from pirings.exact import PiScalar
@@ -54,6 +55,14 @@ class TestBareiss:
     def test_singular(self):
         assert ex.bareiss_det([[1, 2], [2, 4]]) == 0
 
+    def test_numpy_integers(self):
+        got = ex.bareiss_det([[np.int64(2), 1], [0, np.int64(1)]])
+        assert type(got) is Fraction and got == 2
+        big = np.int64(2**62)
+        assert ex.bareiss_det([[big, 1], [big, 2]]) == 2**62
+        assert ex.integer_row([np.int64(3), Fraction(1, 2)]) == ([6, 1], 2)
+        assert all(type(x) is int for x in ex.integer_row([np.int64(3)])[0])
+
     def test_pivoting(self):
         assert ex.bareiss_det([[0, 1], [1, 0]]) == -1
 
@@ -99,10 +108,15 @@ class TestBareiss:
             ex.bareiss_solve([[1, 2], [2, 4]], [1, 1])
 
 
+def as_fraction(x):
+    # Fraction of a numpy integer would keep numpy ints, which overflow
+    return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+
+
 def gauss_solve(matrix, rhs):
     """Reference solver: Gauss-Jordan elimination on Fractions."""
     n = len(matrix)
-    m = [[Fraction(x) for x in row] + [Fraction(b)]
+    m = [[as_fraction(x) for x in row] + [as_fraction(b)]
          for row, b in zip(matrix, rhs)]
     for k in range(n):
         piv = next(r for r in range(k, n) if m[r][k] != 0)
@@ -121,9 +135,13 @@ rationals = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 12))
 
 @st.composite
 def systems(draw, entries):
+    """A square system; rows of ints may be numpy int64 rows."""
     n = draw(st.integers(1, 6))
     mat = [[draw(entries) for _ in range(n)] for _ in range(n)]
     rhs = [draw(entries) for _ in range(n)]
+    mat = [list(map(np.int64, row))
+           if all(type(x) is int for x in row) and draw(st.booleans())
+           else row for row in mat]
     return mat, rhs
 
 

@@ -107,6 +107,10 @@ class TestWedge:
         w = zn.wedge([unit_square(), unit_square()])
         assert zn.length(w) == 2
 
+    def test_empty_product_raises(self):
+        with pytest.raises(ValueError, match="empty product"):
+            zn.wedge([])
+
     def test_parallel_vanishes(self):
         w = zn.wedge([seg(2, (1, 1)), seg(2, (1, 1))])
         assert w.atoms == []
@@ -220,6 +224,18 @@ class TestCrofton:
     def test_zero(self):
         zero = zn.VirtualZonoid(2, 2, [])
         assert zn.crofton_evaluate(zero, unit_square()) == 0
+
+    def test_degree_zero_is_the_sum_of_the_weights(self):
+        def scalar(*ws):
+            return zn.VirtualZonoid(2, 0, [(w, SimpleVector(2, ())) for w in ws])
+
+        got = zn.crofton_evaluate(scalar(2, 3), unit_square())
+        assert type(got) is int and got == 5
+        got = zn.crofton_evaluate(scalar(Fraction(1, 2), 3), unit_square())
+        assert got == Fraction(7, 2)
+        assert zn.crofton_evaluate(scalar(0.1, 0.2), unit_square()) == float(
+            Fraction(0.1) + Fraction(0.2))
+        assert zn.crofton_evaluate(scalar(), unit_square()) == 0
 
     def test_star_exp_gives_volume_of_sum(self):
         m = seg(2, (1, 0))
@@ -342,11 +358,21 @@ def vectors(n):
     return st.lists(COORDS, min_size=n, max_size=n)
 
 
+def numpy_ints(draw, xs):
+    """xs as numpy int64s when they are integers and a draw says so."""
+    if draw(st.booleans()) and all(x == int(x) for x in xs):
+        return [np.int64(int(x)) for x in xs]
+    return xs
+
+
 @st.composite
 def zonotopes(draw, n, min_atoms=1, max_atoms=3):
-    """Rational degree-1 zonotopes with zero and parallel generators."""
-    atoms = draw(st.lists(st.tuples(WEIGHTS, vectors(n)),
-                          min_size=min_atoms, max_size=max_atoms))
+    """Rational degree-1 zonotopes with zero and parallel generators; some
+    weights and generators are numpy integers."""
+    atoms = [(numpy_ints(draw, [w])[0], numpy_ints(draw, v))
+             for w, v in draw(st.lists(st.tuples(WEIGHTS, vectors(n)),
+                                       min_size=min_atoms,
+                                       max_size=max_atoms))]
     parallel = [(draw(WEIGHTS), [c * x for x in v])
                 for c, (_, v) in zip(draw(st.lists(SCALES, max_size=2)), atoms)]
     zero = [(draw(WEIGHTS), [0] * n)] if draw(st.booleans()) else []
@@ -496,6 +522,14 @@ class TestExactRegressions:
                 for r in ((1, 2, 0, 0), (0, 1, 3, 0), (0, 0, 1, 1))]
         got = zn.length(zn.VirtualZonoid(4, 3, [(1, SimpleVector(4, tiny))]))
         assert got == pytest.approx(math.sqrt(47) * 1e-300, rel=1e-12, abs=0)
+
+    def test_numpy_integers_are_read_exactly(self):
+        body = zn.VirtualZonoid(2, 1, [
+            (np.int64(2), SimpleVector(2, [(np.int64(3), np.int64(4))])),
+            (1, SimpleVector(2, [(np.int64(0), 1)]))])
+        assert zn.length(body) == 11
+        assert zn.volume(body) == 6
+        assert zn.to_json(body)["atoms"][0] == {"w": 2, "v": [[3, 4]]}
 
     def test_degree_zero_factors_do_not_vanish(self):
         two = zn.VirtualZonoid(2, 0, [(2, SimpleVector(2, ()))])
@@ -714,6 +748,29 @@ class TestFloatInputIsRoundedOnce:
         assert isinstance(got, float)
         assert got == float(zn.crofton_evaluate(binary_rationals(L),
                                                 binary_rationals(K)))
+
+    @ENGINE
+    @given(zonotopes(4, min_atoms=3, max_atoms=4))
+    def test_exp_truncated(self, L):
+        L = as_floats(L)
+        got = zn.exp_truncated(L, 4)
+        want = zn.exp_truncated(binary_rationals(L), 4)
+        assert [type(w) for w, _ in got[0].atoms] == [int]
+        assert_rounded_once(got[1:], want[1:])
+
+    @ENGINE
+    @given(zonotopes(4, min_atoms=3, max_atoms=4))
+    def test_star_exp(self, L):
+        L = as_floats(L)
+        assert_rounded_once(zn.star_exp(L), zn.star_exp(binary_rationals(L)))
+
+
+def assert_rounded_once(got, want):
+    """Each weight of the parts got is the float of the exact weight in
+    want, on the same rows."""
+    assert [[(w, v.factors) for w, v in p.atoms] for p in got] == [
+        [(float(w), v.factors) for w, v in p.atoms] for p in want]
+    assert all(isinstance(w, float) for p in got for w, _ in p.atoms)
 
 
 @st.composite

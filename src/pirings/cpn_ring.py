@@ -17,7 +17,7 @@ from types import MappingProxyType
 from .exact import PiScalar, bareiss_solve
 from .exterior import ExteriorElement
 from .sampling import (block_stats, haar_unitary_realified, run_blocks,
-                       small_det, substream)
+                       substream)
 from .sphere_ring import ball_wedge_length
 
 
@@ -184,9 +184,14 @@ class RingElement:
     def __pow__(self, k):
         if k < 0:
             raise ValueError(f"negative exponent {k}")
-        out = RingElement.one(self.n)
-        for _ in range(k):
-            out = multiply(out, self)
+        # repeated squaring: about 2 log2(k) products instead of k
+        out, base = RingElement.one(self.n), self
+        while k:
+            if k & 1:
+                out = multiply(out, base)
+            k >>= 1
+            if k:
+                base = multiply(base, base)
         return out
 
     def __eq__(self, other):
@@ -388,10 +393,10 @@ def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
     vy = _v_theta(n, y)
 
     def block_fn(b, size):
-        h = haar_unitary_realified(n, substream(seed, 0, b), size, cols=2)
-        moved = np.einsum("sab,db->sda", h, vx)
-        g = np.einsum("sik,jk->sij", moved, vy)
-        return block_stats(n * np.abs(small_det(g)))
+        # batch-last columns of h: h[c, a, s] is entry a of column c
+        h = haar_unitary_realified(n, substream(seed, 0, b), size, cols=2).T
+        g = np.einsum("ic,jcs->ijs", vx, np.einsum("ja,cas->jcs", vy, h))
+        return block_stats(n * np.abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]))
 
     return run_blocks(samples, seed, block_fn, workers)
 

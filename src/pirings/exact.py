@@ -97,12 +97,14 @@ def integer_row(row):
     """(ints, scale): the row times the lcm of its denominators, and that
     lcm.  The exact kernels read their numbers here: a float by its exact
     binary value, and one without as_integer_ratio (a numpy integer)
-    through Fraction."""
+    through Fraction.  A ratio of numpy integers (from a Fraction of one)
+    is read through int(), so that no kernel runs in wrapping int64."""
     try:
         ratios = [x.as_integer_ratio() for x in row]
     except AttributeError:
-        ratios = [(int(f.numerator), int(f.denominator))
-                  for f in map(Fraction, row)]
+        ratios = [Fraction(x).as_integer_ratio() for x in row]
+    if not all(type(p) is int and type(d) is int for p, d in ratios):
+        ratios = [(int(p), int(d)) for p, d in ratios]
     scale = math.lcm(*[d for _, d in ratios])
     return [p * (scale // d) for p, d in ratios], scale
 

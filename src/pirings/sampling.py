@@ -1,13 +1,17 @@
 """Seeded samplers and Monte-Carlo estimators for zonoid wedge lengths.
 
-Reproducibility contract: all randomness comes from the counter-based
-Philox generator.  Each (estimator slot, block of trials) pair gets its
-own substream, derived from (seed, slot index, block index) by placing
-those in the high words of the Philox counter.  Trials are processed in
-fixed-size blocks, so the result is bit-identical regardless of how the
-blocks are scheduled across workers.
+Reproducibility contract: each (seed, estimator slot, block of trials)
+triple gets its own SFC64 generator, seeded by numpy's SeedSequence with
+(slot, block) as its spawn key.  Trials are processed in fixed-size
+blocks, so the result is bit-identical regardless of how the blocks are
+scheduled across workers.
 
-Gaussians come from numpy's ziggurat implementation.
+A block is batch-last: trial s of a block of d vectors in R^N is column
+s of a (d, N, size) array.  Each sampler fills its own rows of that
+array in place, and one Gram-Schmidt pass over it gives both the Haar
+draws (its Q) and the wedge norms (the product of the norms it divides
+by).  Gaussians come from numpy's ziggurat implementation, and a Haar
+draw makes only the Gaussian columns that it returns.
 
 numpy is imported inside the functions that build arrays, not at module
 level, so that the exact commands of the CLI, which import this module
@@ -16,16 +20,22 @@ calling thread before run_blocks starts any worker.
 """
 
 import math
+import numbers
 
 BLOCK = 1 << 13
 DEFAULT_Z = 3.0
 
 
 def substream(seed, slot, block=0):
-    """Independent generator for the given (seed, slot, block) triple."""
+    """Independent generator for the given (seed, slot, block) triple.
+
+    Raises ValueError unless seed is a non-negative integer.
+    """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     import numpy as np
-    counter = (int(slot) << 128) | (int(block) << 64)
-    return np.random.Generator(np.random.Philox(key=int(seed), counter=counter))
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(int(seed), spawn_key=(slot, block))))
 
 
 class Estimate:
@@ -81,37 +91,39 @@ def _gram_schmidt(v, pairs=False):
     """Orthonormalise the columns v[0], v[1], ... in place, batched.
 
     v has shape (c, N, *batch): column j of every matrix in the batch is
-    v[j], so each step runs over the whole batch at once.  The result,
-    returned as a (*batch, N, c) view, is the Q of the thin QR
-    factorisation with diag(R) > 0.  Each column is orthogonalised
-    against the earlier ones twice (classical Gram-Schmidt with
-    reorthogonalisation, "twice is enough"), which keeps Q^T Q = I to
-    rounding for any numerically nonsingular input.
+    v[j], so each step runs over the whole batch at once.  Returns
+    (v, norms): v then holds the Q of the thin QR factorisation with
+    diag(R) > 0, and norms, of shape batch, is the product of diag(R),
+    which is the wedge norm ||v_0 ^ ... ^ v_(c-1)|| of the input
+    columns (1 when c = 0).  Each column is orthogonalised against the
+    earlier ones twice (classical Gram-Schmidt with reorthogonalisation,
+    "twice is enough"), which keeps Q^T Q = I to rounding for any
+    numerically nonsingular input; the norm product is off by a few
+    N c eps times the product of the column norms (Hadamard's bound).
+    A column that is exactly dependent on the earlier ones stays 0 and
+    makes the product 0.
 
     With pairs=True, v holds realified complex columns in its even slots
     (interleaved real and imaginary parts); each odd slot is filled with
     i times the column before it.  Real Gram-Schmidt on g_0, i g_0, g_1,
     i g_1, ... is complex Gram-Schmidt on g_0, g_1, ...: projecting onto
     the real span of q_k and i q_k is the complex projection onto q_k,
-    and i q_j is orthogonal to q_j already.
+    and i q_j is orthogonal to q_j already.  norms is then the product
+    over the even slots only.
     """
     import numpy as np
-    step = 2 if pairs else 1
-    for j in range(0, v.shape[0], step):
+    norms = np.ones(v.shape[2:])
+    for j in range(0, v.shape[0], 2 if pairs else 1):
         for _ in range(2 if j else 0):
             coef = np.einsum("ki...,i...->k...", v[:j], v[j])
             v[j] -= np.einsum("ki...,k...->i...", v[:j], coef)
-        v[j] /= np.sqrt(np.einsum("i...,i...->...", v[j], v[j]))
+        norm = np.sqrt(np.einsum("i...,i...->...", v[j], v[j]))
+        v[j] /= np.where(norm > 0, norm, 1.0)
+        norms *= norm
         if pairs:
             np.negative(v[j, 1::2], out=v[j + 1, 0::2])
             v[j + 1, 1::2] = v[j, 0::2]
-    return np.moveaxis(v, (0, 1), (-1, -2))
-
-
-def _columns_first(g):
-    """(*batch, N, c) -> (c, N, *batch), the layout _gram_schmidt works in."""
-    import numpy as np
-    return np.moveaxis(g, (-1, -2), (0, 1))
+    return v, norms
 
 
 def _check_cols(n, cols):
@@ -124,15 +136,17 @@ def _check_cols(n, cols):
 def haar_orthogonal(n, rng, size=None, cols=None):
     """The first `cols` columns (default all n) of Haar orthogonal matrices.
 
-    Draws the same n x n Gaussians as a full draw, so later draws from
-    rng do not depend on `cols`.  Gram-Schmidt of the Gaussian columns is
-    the Q factor of QR with the signs of diag(R) made positive, which is
-    Haar distributed (Mezzadri 2007).
+    Returns a (size, n, cols) array, or (n, cols) when size is None; it
+    is the transposed view of a batch-last (cols, n, size) array, which
+    .T gives back.  Only the n * cols Gaussians that those columns read
+    are drawn, in that batch-last order.  Gram-Schmidt of the Gaussian
+    columns is the Q factor of QR with the signs of diag(R) made
+    positive, which is Haar distributed (Mezzadri 2007), and its first
+    cols columns depend only on the first cols Gaussian columns.
     """
     cols = _check_cols(n, cols)
-    shape = (n, n) if size is None else (size, n, n)
-    g = rng.standard_normal(shape)
-    return _gram_schmidt(_columns_first(g[..., :cols]).copy())
+    shape = (cols, n) if size is None else (cols, n, size)
+    return _gram_schmidt(rng.standard_normal(shape))[0].T
 
 
 def haar_unitary_realified(n, rng, size=None, cols=None):
@@ -140,19 +154,18 @@ def haar_unitary_realified(n, rng, size=None, cols=None):
 
     U acts on C^n = R^(2n) with interleaved real and imaginary parts, so
     the result has 2 * cols real columns: those of U e_j and U (i e_j) for
-    j < cols.  As for haar_orthogonal, the full n x n complex Gaussian is
-    drawn, and the Gram-Schmidt Q is QR's Q with the phases of diag(R)
-    removed (Mezzadri 2007).
+    j < cols.  As for haar_orthogonal, the result is the transposed view
+    of a batch-last array, and only the 2n * cols Gaussians of the
+    returned complex columns are drawn, each column as 2n interleaved
+    real and imaginary parts.  The Gram-Schmidt Q is QR's Q with the
+    phases of diag(R) removed (Mezzadri 2007).
     """
     import numpy as np
     cols = _check_cols(n, cols)
-    shape = (n, n) if size is None else (size, n, n)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    v = np.empty((2 * cols, 2 * n) + shape[:-2])
-    v[0::2, 0::2] = _columns_first(re[..., :cols])
-    v[0::2, 1::2] = _columns_first(im[..., :cols])
-    return _gram_schmidt(v, pairs=True)
+    shape = (cols, 2 * n) if size is None else (cols, 2 * n, size)
+    v = np.empty((2 * cols,) + shape[1:])
+    v[0::2] = rng.standard_normal(shape)
+    return _gram_schmidt(v, pairs=True)[0].T
 
 
 class GaussianSampler:
@@ -162,8 +175,10 @@ class GaussianSampler:
         self.ambient_dim = ambient_dim
         self.degree = 1
 
-    def draw(self, rng, size):
-        return rng.standard_normal((size, 1, self.ambient_dim))
+    def draw(self, rng, out):
+        """Fill out, a C-contiguous (degree, N, size) block, one trial
+        per last-axis entry; every sampler's draw has this form."""
+        rng.standard_normal(out=out)
 
 
 class SchubertSampler:
@@ -185,17 +200,16 @@ class SchubertSampler:
         self.degree = sum(parts)
         self.boxes = [(i, j) for i, p in enumerate(parts) for j in range(p)]
 
-    def draw(self, rng, size):
+    def draw(self, rng, out):
         import numpy as np
-        q = haar_orthogonal(self.k, rng, size, cols=len(self.parts))
+        size = out.shape[-1]
+        q = haar_orthogonal(self.k, rng, size, cols=len(self.parts)).T
         r = haar_orthogonal(self.m, rng, size,
-                            cols=self.parts[0] if self.parts else 0)
-        out = np.empty((size, self.degree, self.ambient_dim))
+                            cols=self.parts[0] if self.parts else 0).T
+        # row b of out, as a k x m matrix per trial, is q_i r_j^T
+        boxes = out.reshape(self.degree, self.k, self.m, size)
         for b, (i, j) in enumerate(self.boxes):
-            out[:, b, :] = np.einsum(
-                "sa,sb->sab", q[:, :, i], r[:, :, j]
-            ).reshape(size, -1)
-        return out
+            np.multiply(q[i][:, None], r[j], out=boxes[b])
 
 
 class FixedSampler:
@@ -212,10 +226,9 @@ class FixedSampler:
         self.degree = len(self.factors)
         self.ambient_dim = len(self.factors[0])
 
-    def draw(self, rng, size):
+    def draw(self, rng, out):
         import numpy as np
-        return np.broadcast_to(self.factors,
-                               (size, self.degree, self.ambient_dim))
+        out[...] = np.asarray(self.factors)[..., None]
 
 
 class SamplerZonoid:
@@ -233,54 +246,6 @@ class SamplerZonoid:
 def gaussian_ball(ambient_dim):
     """The unit ball of R^N as a sampler zonoid: sqrt(2 pi) * K(Gaussian)."""
     return SamplerZonoid(math.sqrt(2 * math.pi), GaussianSampler(ambient_dim))
-
-
-def small_det(a):
-    """Determinants of a batch of square matrices, over the leading axis.
-
-    Orders 1 to 4 use closed forms on whole columns of the batch: order 3
-    by cofactors of the first row, order 4 by the Laplace expansion over
-    the six 2x2 minors of rows 0-1 and their complements in rows 2-3.
-    That avoids LAPACK's per-matrix overhead, which dominates at these
-    orders; every other order goes to LAPACK.  On integer entries of
-    small size every product and sum is exact, so orders 1 to 4 then give
-    the exact determinant.
-    """
-    import numpy as np
-    n = a.shape[-1]
-    if n == 1:
-        return a[..., 0, 0].copy()
-    if n == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    if n == 3:
-        r0, r1, r2 = (a[..., i, :] for i in range(3))
-        return (r0[..., 0] * (r1[..., 1] * r2[..., 2] - r1[..., 2] * r2[..., 1])
-                - r0[..., 1] * (r1[..., 0] * r2[..., 2] - r1[..., 2] * r2[..., 0])
-                + r0[..., 2] * (r1[..., 0] * r2[..., 1] - r1[..., 1] * r2[..., 0]))
-    if n == 4:
-        def minor(r, s, i, j):
-            return a[..., r, i] * a[..., s, j] - a[..., r, j] * a[..., s, i]
-        # complementary column pairs (i, j) and (k, l), with the sign of
-        # the permutation (i, j, k, l)
-        return (minor(0, 1, 0, 1) * minor(2, 3, 2, 3)
-                - minor(0, 1, 0, 2) * minor(2, 3, 1, 3)
-                + minor(0, 1, 0, 3) * minor(2, 3, 1, 2)
-                + minor(0, 1, 1, 2) * minor(2, 3, 0, 3)
-                - minor(0, 1, 1, 3) * minor(2, 3, 0, 2)
-                + minor(0, 1, 2, 3) * minor(2, 3, 0, 1))
-    return np.linalg.det(a)
-
-
-def _gram_root_det(x):
-    """sqrt(det(X X^T)) batched over the leading axis; |det X| when square."""
-    import numpy as np
-    d, n = x.shape[-2], x.shape[-1]
-    if d == 0:
-        return np.ones(x.shape[0])
-    if d == n:
-        return np.abs(small_det(x))
-    g = np.einsum("sik,sjk->sij", x, x)
-    return np.sqrt(np.clip(small_det(g), 0.0, None))
 
 
 def block_stats(vals):
@@ -329,7 +294,9 @@ def run_blocks(samples, seed, block_fn, workers=1):
 def mc_wedge_length(zs, samples, seed, workers=1):
     """Monte-Carlo estimate of the length of the wedge of sampler zonoids.
 
-    Zonoid i draws from slot i of the seed.
+    Zonoid i draws from slot i of the seed, into its own rows of the
+    block's one (degree, N, size) array; the wedge norms of the block
+    are the norm products of one _gram_schmidt pass over that array.
     """
     import numpy as np
     zs = list(zs)
@@ -346,9 +313,12 @@ def mc_wedge_length(zs, samples, seed, workers=1):
     def block_fn(b, size):
         if scale == 0.0:
             return block_stats(np.zeros(size))
-        draws = [z.sampler.draw(substream(seed, slot, b), size)
-                 for slot, z in enumerate(zs)]
-        return block_stats(
-            scale * _gram_root_det(np.concatenate(draws, axis=1)))
+        block = np.empty((deg, n, size))
+        row = 0
+        for slot, z in enumerate(zs):
+            z.sampler.draw(substream(seed, slot, b),
+                           block[row:row + z.degree])
+            row += z.degree
+        return block_stats(scale * _gram_schmidt(block)[1])
 
     return run_blocks(samples, seed, block_fn, workers)

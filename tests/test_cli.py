@@ -324,6 +324,18 @@ class TestOutputModes:
         data = run_json(capsys, "cpn", "relations", "--n", "2")
         assert data["provenance"]["seed"] == 77
 
+    @pytest.mark.parametrize("argv", [
+        ("sphere", "ball-mc", "--samples", "10"),
+        ("cpn", "tasaki", "--n", "2", "--mc", "--samples", "10"),
+        ("schubert", "shape", "--diagrams", "1|1", "--samples", "10"),
+        ("schubert", "edeg22", "--samples", "10", "--workers", "2"),
+        ("schubert", "spans", "--spans-samples", "3"),
+    ])
+    def test_negative_seed(self, capsys, argv):
+        code, err = run_err(capsys, *argv, "--seed", "-1")
+        assert code == 1
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cpn", "nonsense", "--n", "2"])

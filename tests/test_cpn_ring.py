@@ -198,6 +198,15 @@ class TestRingProperties:
         assert a * (b + c) == a * b + a * c
 
     @settings(max_examples=60, deadline=None)
+    @given(ring_triples(), st.integers(0, 6))
+    def test_power_is_repeated_product(self, abc, k):
+        x = abc[0]
+        product = RingElement.one(x.n)
+        for _ in range(k):
+            product = product * x
+        assert x ** k == product
+
+    @settings(max_examples=60, deadline=None)
     @given(generator_triples())
     def test_length_is_additive(self, abc):
         a, b, _ = abc

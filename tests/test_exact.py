@@ -63,6 +63,15 @@ class TestBareiss:
         assert ex.integer_row([np.int64(3), Fraction(1, 2)]) == ([6, 1], 2)
         assert all(type(x) is int for x in ex.integer_row([np.int64(3)])[0])
 
+    def test_fraction_of_numpy_integer_does_not_wrap(self):
+        # Fraction(np.int64(x)) keeps numpy ints as numerator and denominator
+        f = Fraction(np.int64(3037000500))
+        got = ex.bareiss_det([[f, 1], [1, f]])
+        assert type(got) is Fraction and got == 3037000500 ** 2 - 1
+        ints, scale = ex.integer_row([f, Fraction(np.int64(1), np.int64(2))])
+        assert ints == [6074001000, 1] and scale == 2
+        assert all(type(x) is int for x in ints + [scale])
+
     def test_pivoting(self):
         assert ex.bareiss_det([[0, 1], [1, 0]]) == -1
 

@@ -120,27 +120,35 @@ class TestHaarUnitary:
         assert np.array_equal(j @ j, -np.eye(8))
 
 
-def _qr_orthogonal(rng, n, size):
-    """Reference O(n) draw: LAPACK QR of a Gaussian, signs of diag(R) fixed."""
-    g = rng.standard_normal((n, n) if size is None else (size, n, n))
+def _qr_orthogonal(rng, n, cols, size):
+    """Reference O(n) columns: LAPACK QR of the same batch-last Gaussian
+    columns, signs of diag(R) fixed."""
+    g = rng.standard_normal((cols, n) if size is None else (cols, n, size)).T
     q, r = np.linalg.qr(g)
     d = np.sign(np.einsum("...ii->...i", r))
     return q * np.where(d == 0, 1.0, d)[..., None, :]
 
 
-def _qr_unitary_realified(rng, n, size):
-    """Reference U(n) draw: complex QR, phases of diag(R) fixed, realified."""
-    shape = (n, n) if size is None else (size, n, n)
-    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    q, r = np.linalg.qr(g)
+def _qr_unitary_realified(rng, n, cols, size):
+    """Reference U(n) columns: complex QR of the same Gaussian columns
+    (2n interleaved real and imaginary parts each), phases of diag(R)
+    fixed, realified."""
+    shape = (cols, 2 * n) if size is None else (cols, 2 * n, size)
+    g = rng.standard_normal(shape)
+    q, r = np.linalg.qr((g[:, 0::2] + 1j * g[:, 1::2]).T)
     d = np.einsum("...ii->...i", r)
     u = q * (d / np.abs(d)).conj()[..., None, :]
-    out = np.zeros(shape[:-2] + (2 * n, 2 * n))
+    out = np.zeros(q.shape[:-2] + (2 * n, 2 * cols))
     out[..., 0::2, 0::2] = u.real
     out[..., 0::2, 1::2] = -u.imag
     out[..., 1::2, 0::2] = u.imag
     out[..., 1::2, 1::2] = u.real
     return out
+
+
+def _normals(seed, slot, count):
+    """The count-th normal of a substream (counting from 0)."""
+    return sp.substream(seed, slot).standard_normal(count + 1)[-1]
 
 
 class TestHaarMatchesQr:
@@ -149,33 +157,35 @@ class TestHaarMatchesQr:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("size", [None, 300])
     def test_orthogonal(self, n, size):
-        ref = _qr_orthogonal(sp.substream(20, n), n, size)
+        batch = 1 if size is None else size
         for cols in range(n + 1):
+            ref = _qr_orthogonal(sp.substream(20, n), n, cols, size)
             rng = sp.substream(20, n)
             q = sp.haar_orthogonal(n, rng, size, cols=cols)
-            assert q.shape == ref.shape[:-1] + (cols,)
-            assert np.abs(q - ref[..., :cols]).max(initial=0.0) <= 1e-12
+            assert q.shape == ((n, cols) if size is None else (size, n, cols))
+            assert np.abs(q - ref).max(initial=0.0) <= 1e-12
             gram = np.einsum("...ki,...kj->...ij", q, q)
             assert np.abs(gram - np.eye(cols)).max(initial=0.0) <= 1e-12
-            # the whole n x n Gaussian is consumed whatever cols is
-            assert rng.standard_normal() == sp.substream(20, n).standard_normal(
-                (n * n if size is None else size * n * n) + 1)[-1]
+            # exactly the n * cols normals of the returned columns are drawn
+            assert rng.standard_normal() == _normals(20, n, n * cols * batch)
 
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("size", [None, 300])
     def test_unitary_realified(self, n, size):
-        ref = _qr_unitary_realified(sp.substream(21, n), n, size)
+        batch = 1 if size is None else size
         assert sp.haar_unitary_realified(n, sp.substream(21, n), size).shape \
-            == ref.shape
+            == _qr_unitary_realified(sp.substream(21, n), n, n, size).shape
         for cols in range(n + 1):
+            ref = _qr_unitary_realified(sp.substream(21, n), n, cols, size)
             rng = sp.substream(21, n)
             m = sp.haar_unitary_realified(n, rng, size, cols=cols)
-            assert m.shape == ref.shape[:-1] + (2 * cols,)
-            assert np.abs(m - ref[..., :2 * cols]).max(initial=0.0) <= 1e-12
+            assert m.shape == ((2 * n, 2 * cols) if size is None
+                               else (size, 2 * n, 2 * cols))
+            assert np.abs(m - ref).max(initial=0.0) <= 1e-12
             gram = np.einsum("...ki,...kj->...ij", m, m)
             assert np.abs(gram - np.eye(2 * cols)).max(initial=0.0) <= 1e-12
-            assert rng.standard_normal() == sp.substream(21, n).standard_normal(
-                2 * (n * n if size is None else size * n * n) + 1)[-1]
+            # exactly the 2n * cols normals of the returned columns
+            assert rng.standard_normal() == _normals(21, n, 2 * n * cols * batch)
 
     @pytest.mark.parametrize("cols", [-1, 4])
     def test_cols_out_of_range(self, cols):
@@ -193,21 +203,33 @@ def _near_singular(rng, size, n):
     return a
 
 
+def norm_product(a):
+    """The kernel's wedge norms of the rows of each matrix in a batch."""
+    return sp._gram_schmidt(np.transpose(a, (1, 2, 0)).astype(float))[1]
+
+
+def hadamard_tol(a):
+    """A few d N eps times the Hadamard bound, the product of the row norms:
+    the rounding of a d x N wedge norm by either method.  numpy's det adds
+    |log det| eps relative, as it exponentiates the log-determinant."""
+    d, n = a.shape[-2:]
+    scale = np.prod(np.linalg.norm(a, axis=-1), axis=-1)
+    return 32 * d * n * np.finfo(float).eps * scale
+
+
 class TestSmallDet:
+    """|det| of small batched matrices, and sqrt(det Gram) below full rank,
+    as the norm product of the one Gram-Schmidt kernel."""
+
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("kind", ["random", "near_singular"])
     def test_matches_lapack(self, n, kind):
         rng = np.random.default_rng(100 + n)
         a = (rng.standard_normal((500, n, n)) if kind == "random"
              else _near_singular(rng, 500, n))
-        got = sp.small_det(a)
+        got = norm_product(a)
         assert got.shape == (500,)
-        # the rounding of either method is a few n^2 eps times the
-        # Hadamard bound, the product of the row norms; numpy's det adds
-        # |log det| eps relative, as it exponentiates the log-determinant
-        scale = np.prod(np.linalg.norm(a, axis=-1), axis=-1)
-        tol = 32 * n * n * np.finfo(float).eps * scale
-        assert np.all(np.abs(got - np.linalg.det(a)) <= tol)
+        assert np.all(np.abs(got - np.abs(np.linalg.det(a))) <= hadamard_tol(a))
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_integer_entries(self, n):
@@ -215,34 +237,41 @@ class TestSmallDet:
         a = rng.integers(-9, 10, size=(300, n, n))
         # every other matrix singular: a repeated row
         a[::2, -1] = a[::2, 0]
-        got = sp.small_det(a.astype(float))
-        exact = [int_det(m.tolist()) for m in a]
-        if n <= 4:
-            assert got.tolist() == exact
-        else:
-            # LAPACK rounds, by a few eps times the Hadamard bound (< 2e8)
-            assert np.allclose(got, exact, rtol=0, atol=1e-5)
+        got = norm_product(a)
+        exact = np.array([abs(int_det(m.tolist())) for m in a], dtype=float)
+        assert np.all(np.abs(got - exact) <= hadamard_tol(a))
 
-    def test_lapack_only_above_order_4(self, monkeypatch):
-        orders = []
-        lapack = np.linalg.det
+    @pytest.mark.parametrize("d, n", [(d, n) for n in range(2, 7)
+                                      for d in range(n)])
+    def test_gram_below_full_rank(self, d, n):
+        rng = np.random.default_rng(300 + 10 * d + n)
+        a = rng.integers(-9, 10, size=(300, d, n))
+        if d > 1:
+            a[::2, -1] = a[::2, 0]
+        got = norm_product(a)
+        exact = np.array([math.sqrt(int_det((m @ m.T).tolist())) for m in a])
+        assert np.all(np.abs(got - exact) <= hadamard_tol(a))
 
-        def recording(a):
-            orders.append(a.shape[-1])
-            return lapack(a)
+    def test_no_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called")
 
-        monkeypatch.setattr(np.linalg, "det", recording)
+        for name in ("det", "slogdet", "qr", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
         rng = np.random.default_rng(7)
         for n in range(1, 7):
-            sp.small_det(rng.standard_normal((10, n, n)))
-        assert orders == [5, 6]
+            norm_product(rng.standard_normal((10, n, n)))
+        for estimator in ESTIMATORS.values():
+            estimator(100, 0, 1)
 
 
 class TestSchubertSampler:
     def test_unit_norm(self):
         rng = sp.substream(10, 0)
         from pirings.exterior import wedge_norm
-        for factors in sp.SchubertSampler((2, 1), 2, 3).draw(rng, 20):
+        out = np.empty((3, 6, 20))
+        sp.SchubertSampler((2, 1), 2, 3).draw(rng, out)
+        for factors in np.moveaxis(out, -1, 0):
             v = SimpleVector(6, factors)
             assert float(wedge_norm([v])) == pytest.approx(1.0, abs=1e-12)
 
@@ -251,9 +280,9 @@ class TestSchubertSampler:
             sp.SchubertSampler((3,), 2, 2)
 
     def test_fixed_sampler_draws_nothing(self):
-        out = sp.FixedSampler([[1, 0, 0, 0]]).draw(None, 3)
-        assert out.shape == (3, 1, 4)
-        assert np.array_equal(out, np.tile([1.0, 0.0, 0.0, 0.0], (3, 1, 1)))
+        out = np.empty((1, 4, 3))
+        sp.FixedSampler([[1, 0, 0, 0]]).draw(None, out)
+        assert np.array_equal(out[0], [[1.0] * 3] + [[0.0] * 3] * 3)
 
 
 class TestRunBlocks:
@@ -294,9 +323,9 @@ class SphereSampler:
         self.ambient_dim = ambient_dim
         self.degree = 1
 
-    def draw(self, rng, size):
-        g = rng.standard_normal((size, 1, self.ambient_dim))
-        return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    def draw(self, rng, out):
+        rng.standard_normal(out=out)
+        out /= np.linalg.norm(out, axis=1, keepdims=True)
 
 
 class DiscreteAtomSampler:
@@ -319,9 +348,9 @@ class DiscreteAtomSampler:
              for w, v in z.atoms]
         )
 
-    def draw(self, rng, size):
-        idx = rng.integers(0, len(self.vectors), size)
-        return self.vectors[idx][:, None, :]
+    def draw(self, rng, out):
+        idx = rng.integers(0, len(self.vectors), out.shape[-1])
+        np.take(self.vectors.T, idx, axis=1, out=out[0])
 
 
 def mc_pairing(a, b, samples, seed, workers=1):
@@ -331,9 +360,11 @@ def mc_pairing(a, b, samples, seed, workers=1):
     scale = a.scale * b.scale
 
     def block_fn(blk, size):
-        x = a.sampler.draw(sp.substream(seed, 0, blk), size)
-        y = b.sampler.draw(sp.substream(seed, 1, blk), size)
-        g = np.einsum("sik,sjk->sij", x, y)
+        x = np.empty((a.degree, a.ambient_dim, size))
+        y = np.empty_like(x)
+        a.sampler.draw(sp.substream(seed, 0, blk), x)
+        b.sampler.draw(sp.substream(seed, 1, blk), y)
+        g = np.einsum("iks,jks->sij", x, y)
         return sp.block_stats(scale * np.abs(np.linalg.det(g)))
 
     return sp.run_blocks(samples, seed, block_fn, workers)

@@ -531,6 +531,11 @@ class TestExactRegressions:
         assert zn.volume(body) == 6
         assert zn.to_json(body)["atoms"][0] == {"w": 2, "v": [[3, 4]]}
 
+    def test_fraction_of_numpy_integer_does_not_wrap(self):
+        f = Fraction(np.int64(3037000500))
+        body = zn.VirtualZonoid(2, 2, [(1, SimpleVector(2, [(f, 1), (1, f)]))])
+        assert zn.length(body) == 3037000500 ** 2 - 1
+
     def test_degree_zero_factors_do_not_vanish(self):
         two = zn.VirtualZonoid(2, 0, [(2, SimpleVector(2, ()))])
         w = zn.wedge([two, two, unit_square()])

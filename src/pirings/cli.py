@@ -22,7 +22,10 @@ from .sampling import mc_wedge_length, gaussian_ball
 
 def _default_seed():
     env = os.environ.get("ZONOID_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValueError(f"ZONOID_SEED is not an integer: {env!r}") from None
 
 
 def _common_flags(p):
@@ -196,7 +199,7 @@ def cmd_cpn(args):
                "kernel": float(closed)}
         if args.mc:
             est = cpn_ring.mc_tasaki_kernel_d2(
-                n, args.x, args.y, args.samples, _seed(args), args.workers)
+                n, args.x, args.y, args.samples, args.seed, args.workers)
             out["estimate"] = est.to_json(args.z)
         return out
     raise ValueError(f"unknown cpn action {args.action}")
@@ -218,16 +221,16 @@ def cmd_schubert(args):
                                  sorted(table.items(), key=lambda x: x[0].parts)}}
     if args.action == "spans":
         return schubert.verify_span_decomposition(
-            k, m, args.d, samples=args.spans_samples, seed=_seed(args))
+            k, m, args.d, samples=args.spans_samples, seed=args.seed)
     if args.action == "shape":
         lams = [_diagram(t) for t in args.diagrams.split("|")]
         est = schubert.mc_schubert_shape(
-            lams, k, m, args.samples, _seed(args), args.workers)
+            lams, k, m, args.samples, args.seed, args.workers)
         return {"k": k, "m": m, "diagrams": args.diagrams,
                 "estimate": est.to_json(args.z),
                 "max_sample": est.max_value}
     if args.action == "edeg22":
-        est = schubert.edeg22_calibrated(args.samples, _seed(args),
+        est = schubert.edeg22_calibrated(args.samples, args.seed,
                                          args.workers)
         out = {"estimate": est.to_json(args.z)}
         out["components"] = {k2: v.to_json(args.z)
@@ -293,7 +296,7 @@ def cmd_sphere(args):
                                    else val)}
     if args.action == "ball-mc":
         est = mc_wedge_length([gaussian_ball(args.N)] * args.i,
-                              args.samples, _seed(args), args.workers)
+                              args.samples, args.seed, args.workers)
         exact = sphere_ring.ball_wedge_length(args.N, 0, args.i, 1)
         return {"N": args.N, "i": args.i, "exact": float(exact),
                 "estimate": est.to_json(args.z)}
@@ -309,13 +312,9 @@ def _num(x):
     return x
 
 
-def _seed(args):
-    return args.seed if args.seed is not None else _default_seed()
-
-
 def _emit(args, report):
     report = {"provenance": {"version": __version__,
-                             "seed": _seed(args),
+                             "seed": args.seed,
                              "samples": args.samples}, **report}
     if args.format == "csv":
         text = _to_csv(report)
@@ -416,6 +415,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.seed = _default_seed() if args.seed is None else args.seed
         report = DISPATCH[args.command](args)
     except (ValueError, OSError, KeyError, ZeroDivisionError,
             ArithmeticError, json.JSONDecodeError) as exc:

@@ -121,31 +121,26 @@ def bareiss_det(matrix):
     return rounded(value, not all(is_exact(x) for row in matrix for x in row))
 
 
-P61 = (1 << 61) - 1  # a Mersenne prime
+P31 = (1 << 31) - 1  # a Mersenne prime: a product of two residues is < 2^62
 
 
 def pivot_rows_mod_p(rows):
-    """Indices of the rows of a matrix of ints independent over GF(P61),
-    hence over Q, of the rows before them; mod P61 entries stay small."""
+    """Indices of the rows of a matrix of ints independent over GF(P31),
+    hence over Q, of the rows before them, read up to full column rank;
+    each row is reduced to int64 residues and eliminated in numpy."""
+    import numpy as np
     pivots = {}  # index: (column, row with 1 there and 0 at earlier pivots)
     for i, row in enumerate(rows):
-        row = [x % P61 for x in row]
+        row = (np.array(row, dtype=object) % P31).astype(np.int64)
         for c, prow in pivots.values():
-            a = row[c]
-            if a:
-                row = [(x - a * y) % P61 for x, y in zip(row, prow)]
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is not None:
-            inv = pow(row[c], -1, P61)
-            pivots[i] = (c, [x * inv % P61 for x in row])
+            if a := row[c]:
+                row = (row - a * prow) % P31
+        if (nonzero := np.flatnonzero(row)).size:
+            c = nonzero[0]
+            pivots[i] = (c, row * pow(int(row[c]), -1, P31) % P31)
             if len(pivots) == len(row):
                 break  # full column rank: no later row can add a pivot
     return list(pivots)
-
-
-def rank_mod_p(rows):
-    """Rank over GF(P61) of a matrix of ints: never above the rank over Q."""
-    return len(pivot_rows_mod_p(rows))
 
 
 def bareiss_solve(matrix, rhs):

@@ -16,7 +16,7 @@ import math
 import operator
 
 from .exact import (bareiss_det, exact_sqrt, int_det, integer_row, is_exact,
-                    rank_mod_p, rounded)
+                    rounded)
 
 COORD_CAP = 10**6
 
@@ -89,10 +89,6 @@ def wedge_norm(parts):
     return exact_sqrt(wedge_inner(s, s))
 
 
-def _all_exact(s):
-    return all(is_exact(x) for f in s.factors for x in f)
-
-
 class ExteriorElement:
     """Sparse element of Lambda^d(R^N), coordinates over sorted index tuples."""
 
@@ -149,7 +145,7 @@ def expand(s):
     divided back out; rounded once on float input."""
     rows = [integer_row(f) for f in s.factors]
     scale = math.prod(q for _, q in rows)
-    inexact = not _all_exact(s)
+    inexact = not all(is_exact(x) for f in s.factors for x in f)
     minors = _minors([ints for ints, _ in rows], s.ambient_dim)
     return ExteriorElement(s.ambient_dim, s.degree, {
         idx: rounded(Fraction(m, scale), inexact)
@@ -207,26 +203,6 @@ def hodge_star(x, orientation=1):
         sgn, _ = _merge_sign(idx, comp)
         coords[comp] = orientation * sgn * c
     return ExteriorElement(n, n - x.degree, coords)
-
-
-def plucker_rows(vs):
-    """Pluecker coordinates of simple vectors with exact factors, as rows
-    of ints: the d x d minors over index sets in lexicographic order, each
-    factor scaled to integers first (a positive multiple of the row).
-    Float factors raise ValueError: the rank of rounded coordinates says
-    nothing about the rank of the vectors they round."""
-    vs = list(vs)
-    if (len({(v.ambient_dim, v.degree) for v in vs}) > 1
-            or not all(map(_all_exact, vs))):
-        raise ValueError("span ranks need simple vectors of one shape "
-                         "with int or Fraction factors")
-    return [list(_minors([integer_row(f)[0] for f in v.factors],
-                         v.ambient_dim).values()) for v in vs]
-
-
-def span_rank(vs):
-    """Exact rank of the span of simple vectors with exact factors."""
-    return rank_mod_p(plucker_rows(vs))
 
 
 def factorize_simple(elem):

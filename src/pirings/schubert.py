@@ -10,8 +10,8 @@ from fractions import Fraction
 import itertools
 import math
 
-from .exact import pivot_rows_mod_p
-from .exterior import SimpleVector, dot, plucker_rows, span_rank
+from .exact import P31, pivot_rows_mod_p
+from .exterior import SimpleVector, wedge_inner
 from .sampling import (
     Estimate,
     FixedSampler,
@@ -281,19 +281,45 @@ def rational_schubert(parts, k, m, rng, size):
             for p, r in zip(*rotations)]
 
 
+def _plucker_residues(vectors):
+    """Pluecker coordinates mod P31 of a list of simple vectors of one
+    shape with integer factors: a (samples, C(N, d)) int64 array over the
+    index sets in lexicographic order.  The minors of the first r factors
+    come from those of the first r - 1 by Laplace expansion along factor
+    r, over all samples at once, with every product of residues reduced."""
+    import numpy as np
+    n, d = vectors[0].ambient_dim, vectors[0].degree
+    factors = np.array([v.factors for v in vectors], dtype=object)
+    factors = (factors.reshape(len(vectors), d, n) % P31).astype(np.int64)
+    minors = np.ones((len(vectors), 1), dtype=np.int64)
+    index = {(): 0}
+    for r in range(1, d + 1):
+        sets = list(itertools.combinations(range(n), r))
+        minors = sum((-1) ** (r - 1 + t)
+                     * (factors[:, r - 1, [s[t] for s in sets]]
+                        * minors[:, [index[s[:t] + s[t + 1:]] for s in sets]]
+                        % P31) for t in range(r)) % P31
+        index = {s: i for i, s in enumerate(sets)}
+    return minors
+
+
 def verify_span_decomposition(k, m, d, samples=200, seed=0):
     """Check the orthogonal decomposition of degree-d wedges of R^k (x) R^m.
 
     Draws rational orbits of each Schubert vector of size d
-    (rational_schubert) and compares their span ranks to the Schur
-    dimensions, checks cross-orbit orthogonality with exact integer inner
-    products between the pivot rows (a basis) of the orbits, and compares
-    wedge-span ranks to the LR prediction.  A rank over GF(2^61 - 1) is
-    never above the rank over Q, which is never above the Schur or LR
-    dimension, so a match proves both.  A coordinate of at most k m boxes
-    has degree at most k m (k + m) < (2B + 1) / 8 in the skew entries, so
-    by Schwartz-Zippel N draws whose span has dimension r fall short of
-    rank r with probability at most C(N, r-1) 8^(r-1-N).
+    (rational_schubert) and compares the ranks of their Pluecker rows mod
+    P31 to the Schur dimensions, checks cross-orbit orthogonality with
+    exact Gram determinants (by Cauchy-Binet, the dot products of the
+    integer Pluecker rows) between the pivot samples (a basis) of the
+    orbits, and compares wedge-span ranks to the LR prediction.  A rank
+    over GF(2^31 - 1) is never above the rank over Q, which is never above
+    the Schur or LR dimension, so a match proves both.  A coordinate of at
+    most k m boxes has degree at most k m (k + m) < (2B + 1) / 8 in the
+    skew entries, so by Schwartz-Zippel N draws whose span has dimension r
+    fall short of rank r with probability at most C(N, r-1) 8^(r-1-N).
+    The prime only adds the chance that a nonzero minor of the true rank
+    vanishes mod P31: a rank that reads short, a visible failure and never
+    a false pass.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
@@ -313,23 +339,25 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
 
     basis = {}
     for lam in diagrams:
-        rows = plucker_rows(draw(lam))
-        basis[lam] = [rows[i] for i in pivot_rows_mod_p(rows)]
+        orbit = draw(lam)
+        basis[lam] = [orbit[i]
+                      for i in pivot_rows_mod_p(_plucker_residues(orbit))]
         record("orbits", str(lam.parts), len(basis[lam]), span_dim(lam, k, m))
     total = sum(span_dim(lam, k, m) for lam in diagrams)
     report["total"] = {"sum": total, "ambient": math.comb(k * m, d),
                        "match": total == math.comb(k * m, d)}
     report["ok"] &= report["total"]["match"]
-    report["max_cross_inner"] = max(
-        (abs(dot(x, y)) for a, b in itertools.combinations(diagrams, 2)
-         for x in basis[a] for y in basis[b]), default=0)
+    report["max_cross_inner"] = int(max(
+        (abs(wedge_inner(x, y)) for a, b in itertools.combinations(diagrams, 2)
+         for x in basis[a] for y in basis[b]), default=0))
     report["orthogonal"] = report["max_cross_inner"] == 0
     report["ok"] &= report["orthogonal"]
     # wedge spans: rank of sampled V_lam ^ V_mu should match the LR sum
     for a, b in itertools.combinations_with_replacement(diagrams, 2):
         if a.size + b.size <= k * m:
-            rank = span_rank(SimpleVector(k * m, va.factors + vb.factors)
-                             for va, vb in zip(draw(a), draw(b)))
+            rank = len(pivot_rows_mod_p(_plucker_residues(
+                [SimpleVector(k * m, va.factors + vb.factors)
+                 for va, vb in zip(draw(a), draw(b))])))
             record("wedges", f"{a.parts}^{b.parts}", rank,
                    sum(span_dim(nu, k, m) for nu in lr_set(a, b, k, m)))
     return report

@@ -325,6 +325,17 @@ class TestOutputModes:
         assert data["provenance"]["seed"] == 77
 
     @pytest.mark.parametrize("argv", [
+        ("cpn", "relations", "--n", "1"),
+        ("sphere", "ball-mc", "--samples", "10"),
+    ])
+    def test_bad_seed_env(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("ZONOID_SEED", "abc")
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: ZONOID_SEED is not an integer: 'abc'\n"
+
+    @pytest.mark.parametrize("argv", [
         ("sphere", "ball-mc", "--samples", "10"),
         ("cpn", "tasaki", "--n", "2", "--mc", "--samples", "10"),
         ("schubert", "shape", "--diagrams", "1|1", "--samples", "10"),

@@ -1,8 +1,11 @@
-"""Byte-for-byte stdout of the exact `cpn` and `sphere` commands.
+"""Byte-for-byte stdout of the exact `cpn` and `sphere` commands and of
+two `schubert spans` checks.
 
 tests/data/golden_cli.json maps each command line to the stdout it
 printed when the file was made.  The exact coefficient type may change
-how values are held, but not what these commands print.
+how values are held, but not what these commands print.  The span
+checks (the README example, and (3,3,2) at seed 1) pin the ranks and
+`max_cross_inner` however the ranks and inner products are computed.
 """
 
 import json

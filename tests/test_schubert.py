@@ -1,10 +1,13 @@
+import itertools
 import math
 import operator
 
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from pirings import sampling as sp
 from pirings import schubert as sb
+from pirings.exterior import SimpleVector, expand
 from pirings.schubert import YoungDiagram
 
 
@@ -218,6 +221,50 @@ class TestSpanDecomposition:
             assert c > 0
             assert gram == [[c * (i == j) for j in range(3)] for i in range(3)]
             assert all(type(x) is int for f in v.factors for x in f)
+
+
+# small entries, and entries of at least 2^64 of either sign
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(2**64, 2**80),
+                    st.integers(-2**80, -2**64))
+
+
+@st.composite
+def simple_vectors(draw):
+    """One to three simple vectors of one shape in R^N, N <= 6, with
+    integer factors; in some draws the last factor is an integer
+    combination of the others (or zero), so every minor vanishes."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(0, n))
+    dependent = d > 0 and draw(st.booleans())
+    vs = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [[draw(ENTRIES) for _ in range(n)]
+                   for _ in range(d - dependent)]
+        if dependent:
+            cs = [draw(st.integers(-3, 3)) for _ in factors]
+            factors.append([sum(c * f[i] for c, f in zip(cs, factors))
+                            for i in range(n)])
+        vs.append(SimpleVector(n, factors))
+    return vs
+
+
+class TestPluckerResidues:
+    @settings(max_examples=100, deadline=None)
+    @given(simple_vectors())
+    # entries of -1 have residue P31 - 1: in the expansion along the last
+    # factor, like-signed products near 2^62 add past 2^63 unless each
+    # product is reduced
+    @example([SimpleVector(5, [[-1, -1, 1, -1, -1], [1, 1, 0, -1, -1],
+                               [-1, 1, 1, -1, -1], [-1, 0, 0, -1, 1],
+                               [-1, 1, -1, -1, -1]])])
+    def test_exact_minors_mod_p(self, vs):
+        n, d = vs[0].ambient_dim, vs[0].degree
+        sets = list(itertools.combinations(range(n), d))
+        want = [[int(expand(v).coords.get(idx, 0)) % sb.P31 for idx in sets]
+                for v in vs]
+        got = sb._plucker_residues(vs)
+        assert got.dtype == "int64" and got.shape == (len(vs), len(sets))
+        assert got.tolist() == want
 
 
 class TestEdeg:

@@ -6,7 +6,7 @@ success, 1 on a computation error, 2 on a usage error.
 """
 
 import argparse
-import csv
+import importlib.util
 import io
 import json
 import math
@@ -15,9 +15,32 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, cpn_ring, schubert, sphere_ring, zonoid
-from .exact import PiScalar
-from .sampling import mc_wedge_length, gaussian_ball
+from . import __version__
+
+
+def _lazy(name):
+    """The package module `name`, put in sys.modules unexecuted: its body
+    runs on the first read of one of its attributes, so a command runs only
+    the modules it calls.  A module imported before is returned as it is."""
+    full = f"{__package__}.{name}"
+    module = sys.modules.get(full)
+    if module is None:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Importers come before the modules they import from.  A tracer that walks
+# sys.modules in this order and replaces a function in every module that
+# binds it (perfbench/tracing.py) loads each module as it reaches it; so
+# every module has bound the original before the walk reaches its home.
+cpn_ring, schubert, zonoid, sphere_ring, sampling, exterior, exact = map(
+    _lazy, ("cpn_ring", "schubert", "zonoid", "sphere_ring", "sampling",
+            "exterior", "exact"))
 
 
 def _default_seed():
@@ -52,12 +75,12 @@ def _ring_to_json(e):
         key = f"s^{j}*t^{d - 2 * j}"
         if len(exps) > 1:
             monomials.setdefault(key, []).append(
-                PiScalar(c, pi_exp).to_json())
+                exact.PiScalar(c, pi_exp).to_json())
         else:
             monomials[key] = _frac(c)
     out = {"n": e.n, "monomials": monomials}
     if len(exps) == 1 and exps != {0}:
-        out["pi_scale"] = PiScalar(1, exps.pop()).to_json()
+        out["pi_scale"] = exact.PiScalar(1, exps.pop()).to_json()
     return out
 
 
@@ -292,13 +315,15 @@ def cmd_sphere(args):
         val = sphere_ring.sphere_expected_count(args.n, codims, ratios)
         return {"n": args.n, "codims": codims,
                 "ratios": [_num(r) for r in ratios],
-                "expected_count": (val.to_json() if isinstance(val, PiScalar)
+                "expected_count": (val.to_json()
+                                   if isinstance(val, exact.PiScalar)
                                    else val)}
     if args.action == "ball-mc":
-        est = mc_wedge_length([gaussian_ball(args.N)] * args.i,
-                              args.samples, args.seed, args.workers)
-        exact = sphere_ring.ball_wedge_length(args.N, 0, args.i, 1)
-        return {"N": args.N, "i": args.i, "exact": float(exact),
+        est = sampling.mc_wedge_length(
+            [sampling.gaussian_ball(args.N)] * args.i,
+            args.samples, args.seed, args.workers)
+        closed = sphere_ring.ball_wedge_length(args.N, 0, args.i, 1)
+        return {"N": args.N, "i": args.i, "exact": float(closed),
                 "estimate": est.to_json(args.z)}
     raise ValueError(f"unknown sphere action {args.action}")
 
@@ -339,6 +364,7 @@ def _flatten(prefix, obj, rows):
 
 
 def _to_csv(report):
+    import csv  # only this output format needs it
     rows = []
     _flatten("", report, rows)
     buf = io.StringIO()

@@ -14,9 +14,11 @@ by).  Gaussians come from numpy's ziggurat implementation, and a Haar
 draw makes only the Gaussian columns that it returns.
 
 numpy is imported inside the functions that build arrays, not at module
-level, so that the exact commands of the CLI, which import this module
-but draw nothing, start without it.  Each estimator imports it on the
-calling thread before run_blocks starts any worker.
+level, so that the exact commands of the CLI that import this module
+(every `cpn` command, through cpn_ring) but draw nothing start without
+it.  Each estimator imports it, and the CLI loads every package module
+that a command calls, on the calling thread before run_blocks starts
+any worker.
 """
 
 import math
@@ -298,8 +300,10 @@ def mc_wedge_length(zs, samples, seed, workers=1):
     block's one (degree, N, size) array; the wedge norms of the block
     are the norm products of one _gram_schmidt pass over that array.
     """
-    import numpy as np
     zs = list(zs)
+    if not zs:
+        raise ValueError("mc_wedge_length needs at least one zonoid")
+    import numpy as np
     n = zs[0].ambient_dim
     deg = sum(z.degree for z in zs)
     if any(z.ambient_dim != n for z in zs):

@@ -321,6 +321,10 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     vanishes mod P31: a rank that reads short, a visible failure and never
     a false pass.
     """
+    if k < 1 or m < 1:
+        raise ValueError(f"k and m must be at least 1, got k={k}, m={m}")
+    if not 0 <= d <= k * m:
+        raise ValueError(f"d must be in [0, k*m] = [0, {k * m}], got {d}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     diagrams = [YoungDiagram(p) for p in _partitions(d, k, m)]

@@ -111,14 +111,25 @@ def pairing(a, b):
         raise ValueError("degree mismatch")
     a_inexact, a_den, a_atoms = _canonical(a)
     b_inexact, b_den, b_atoms = _canonical(b)
-    return rounded(_pair(a_atoms, b_atoms) * Fraction(1, a_den * b_den),
-                   a_inexact or b_inexact)
+    d = a.degree
+    b_rows = [y for _, rb in b_atoms for y in rb]
+    b_terms = [(wb, range(i * d, i * d + d))
+               for i, (wb, _) in enumerate(b_atoms)]
+    return rounded(_pair(a_atoms, b_rows, b_terms)
+                   * Fraction(1, a_den * b_den), a_inexact or b_inexact)
 
 
-def _pair(a_atoms, b_atoms):
-    """The sum of W W' |det(<x_i, y_j>)| over pairs of (W, rows) atoms."""
-    return sum((wa * wb * abs(int_det([[dot(x, y) for y in rb] for x in ra]))
-                for wa, ra in a_atoms for wb, rb in b_atoms), start=0)
+def _pair(a_atoms, b_rows, b_terms):
+    """The sum of W W' |det(<x_i, y_j>)| over an atom (W, rows x) of a_atoms
+    and a term (W', cols) of b_terms, with y = b_rows[cols].  The dot
+    products of an atom's rows with b_rows are taken once, and each term
+    reads its (transposed) block from that table."""
+    total = 0
+    for wa, ra in a_atoms:
+        table = [[dot(x, y) for x in ra] for y in b_rows]
+        total += wa * sum((wb * abs(int_det([table[j] for j in cols]))
+                           for wb, cols in b_terms), start=0)
+    return total
 
 
 def _primitive(f):
@@ -311,7 +322,9 @@ def exp_truncated(L, max_degree):
 def crofton_evaluate(L, K):
     """Crofton valuation of L at a degree-1 zonoid K: (1/d!) <L, K^(wedge d)>,
     the pairing of the canonical atoms of L with the engine's terms of
-    K^(wedge d), all of them, as a term of norm 0 pairs to 0.
+    K^(wedge d), the d-subsets of K's canonical atoms: all of them, as a
+    term of norm 0 pairs to 0.  Each atom of L takes its dot products with
+    K's rows once, not once per term.
     """
     if K.degree != 1:
         raise ValueError("K must have degree 1")
@@ -319,10 +332,15 @@ def crofton_evaluate(L, K):
         raise ValueError("ambient dimension mismatch")
     k_inexact, scale, groups = _grouped([K] * L.degree)
     l_inexact, l_den, l_atoms = _canonical(L)
-    value = scale * _pair(l_atoms, list(_terms(groups)))
+    # K^(wedge d) is one group of K's one-row atoms, or none at d = 0
+    k_atoms, d = groups[0] if groups else ((), 0)
+    rows = [r for _, (r,) in k_atoms]
+    terms = [(math.prod(k_atoms[i][0] for i in cols), cols)
+             for cols in itertools.combinations(range(len(rows)), d)]
+    value = scale * _pair(l_atoms, rows, terms)
     # the d! orderings in the scale cancel the 1/d! of the valuation; at
     # d = 0 the scale is the int 1, and a sum of int weights stays an int
-    den = l_den * math.factorial(L.degree)
+    den = l_den * math.factorial(d)
     return rounded(value if den == 1 else Fraction(value, den),
                    l_inexact or k_inexact)
 

@@ -347,6 +347,11 @@ class TestOutputModes:
         assert code == 1
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    def test_ball_mc_of_no_balls(self, capsys):
+        code, err = run_err(capsys, "sphere", "ball-mc", "--N", "3", "--i", "0")
+        assert code == 1
+        assert err == "error: mc_wedge_length needs at least one zonoid\n"
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cpn", "nonsense", "--n", "2"])
@@ -377,6 +382,19 @@ def test_bad_spans_sample_count(capsys, count):
     code, err = run_err(capsys, "schubert", "spans", "--spans-samples", count)
     assert code == 1
     assert err.startswith("error: samples must be at least 1")
+
+
+@pytest.mark.parametrize("k, m, d, message", [
+    (2, 2, 9, "d must be in [0, k*m] = [0, 4], got 9"),
+    (2, 2, -1, "d must be in [0, k*m] = [0, 4], got -1"),
+    (0, 2, 1, "k and m must be at least 1, got k=0, m=2"),
+    (2, 0, 0, "k and m must be at least 1, got k=2, m=0"),
+])
+def test_bad_spans_shape(capsys, k, m, d, message):
+    # no orbit and an ambient of 0 would pass with nothing checked
+    code, err = run_err(capsys, "schubert", "spans", "--k", str(k),
+                        "--m", str(m), "--d", str(d))
+    assert (code, err) == (1, f"error: {message}\n")
 
 
 # Exact commands must not import numpy: it costs more start-up time than
@@ -483,6 +501,86 @@ def test_cli_import_loads_every_module(tmp_path):
     proc = fresh_python(code, (), tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == want
+
+
+# The CLI registers every package module lazily: a module's body runs on
+# the first read of one of its attributes, and from then on its type is
+# the plain module type.
+_EXECUTED_PROBE = """\
+import sys, types
+from pirings.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+ran = sorted(m[len("pirings."):] for m, mod in list(sys.modules.items())
+             if m.startswith("pirings.") and type(mod) is types.ModuleType)
+print(f"exit={code}", *ran, file=sys.stderr)
+"""
+
+
+def executed_modules(argv, cwd):
+    """(exit code, set of the package modules whose body ran) of main(argv)
+    in a new process."""
+    exit_code, *ran = fresh_python(_EXECUTED_PROBE, argv, cwd).stderr.split()
+    return exit_code, set(ran)
+
+
+@pytest.mark.parametrize("argv, called, skipped", [
+    (("--help",), "cli", {"cpn_ring", "schubert", "zonoid", "sphere_ring",
+                          "sampling", "exterior", "exact"}),
+    (("cpn", "relations", "--n", "4"), "cpn_ring", {"schubert", "zonoid"}),
+    (("zonoid", "length", "-f", "square.json"), "zonoid",
+     {"cpn_ring", "sampling", "schubert"}),
+], ids=["help", "cpn relations", "zonoid length"])
+def test_command_runs_only_the_modules_it_calls(tmp_path, argv, called,
+                                                skipped):
+    write_inputs(tmp_path)
+    exit_code, ran = executed_modules(argv, tmp_path)
+    assert exit_code == "exit=0"
+    assert called in ran
+    assert not ran & skipped
+
+
+_TRACER_PROBE = """\
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import pirings.cli
+from tracing import TARGETS, Tracer
+
+wrapper = next(c for c in Tracer.wrap.__code__.co_consts
+               if isinstance(c, types.CodeType))
+
+
+def wrapped():
+    return sorted(f"{m}.{attr}" for m, mod in list(sys.modules.items())
+                  if m.startswith("pirings")
+                  for attr, value in vars(mod).items()
+                  if getattr(value, "__code__", None) is wrapper)
+
+
+tracer = Tracer()
+tracer.install()
+during = wrapped()
+missing = sorted(set(TARGETS.values()) - tracer.installed)
+tracer.uninstall()
+print(json.dumps({"during": during, "missing": missing, "after": wrapped()}))
+"""
+
+
+def test_tracer_leaves_no_wrapper_on_lazy_modules(tmp_path):
+    # The tracer loads each lazy module while it walks sys.modules and
+    # replaces a function in every module that binds it.  A module that
+    # bound a function only after the walk had replaced it in its home
+    # module would keep the wrapper past uninstall.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    proc = fresh_python(_TRACER_PROBE, (str(perfbench),), tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["missing"] == []
+    assert {"pirings.exact.bareiss_det", "pirings.exterior.bareiss_det",
+            "pirings.cpn_ring.haar_unitary_realified"} <= set(out["during"])
+    assert out["after"] == []
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

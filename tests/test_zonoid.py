@@ -427,6 +427,30 @@ class TestEngineAgainstOrderedOracle:
         assert isinstance(got, Fraction)
         assert got == oracle_crofton(L, K)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_crofton_many_atoms(self, d):
+        # each atom of L meets K's rows in one table of dot products, shared
+        # by the C(13, d) subsets of K's 13 atoms (12 drawn, one of them
+        # doubled as a parallel atom with a negative weight)
+        rng = random.Random(40 + d)
+
+        def rational():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+        rows = [[rational() for _ in range(4)] for _ in range(12)]
+        k_atoms = [(Fraction(rng.randint(1, 9), rng.randint(1, 9)), v)
+                   for v in rows]
+        k_atoms.append((Fraction(-1, 3), [2 * x for x in rows[0]]))
+        K = zn.VirtualZonoid(4, 1, [(w, SimpleVector(4, [v]))
+                                    for w, v in k_atoms])
+        L = zn.VirtualZonoid(4, d, [
+            (rational() or 1, SimpleVector(4, [[rational() for _ in range(4)]
+                                               for _ in range(d)]))
+            for _ in range(3)])
+        got = zn.crofton_evaluate(L, K)
+        assert isinstance(got, Fraction)
+        assert got == oracle_crofton(L, K)
+
     @ENGINE
     @given(zonotopes(3), zonotopes(3))
     def test_partial_wedge_length(self, k, l):

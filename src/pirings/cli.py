@@ -69,18 +69,18 @@ def _frac(x):
 def _ring_to_json(e):
     """Rational coefficients and a common "pi_scale" pi^e (left out when e
     is 0) if all terms share e; else lists of {"coeff", "pi_exp"} terms."""
-    exps = {pi_exp for _, _, pi_exp in e.coeffs}
+    exps = {pi_exp for c in e.coeffs.values() for pi_exp in c.terms}
+    scale = exact.PiScalar(1, exps.pop()) if len(exps) == 1 else None
     monomials = {}
-    for (d, j, pi_exp), c in sorted(e.coeffs.items()):
-        key = f"s^{j}*t^{d - 2 * j}"
-        if len(exps) > 1:
-            monomials.setdefault(key, []).append(
-                exact.PiScalar(c, pi_exp).to_json())
+    for (d, j), c in sorted(e.coeffs.items()):
+        if scale is not None:
+            value = _frac((c / scale).rational())
         else:
-            monomials[key] = _frac(c)
+            value = c.to_json() if len(c.terms) > 1 else [c.to_json()]
+        monomials[f"s^{j}*t^{d - 2 * j}"] = value
     out = {"n": e.n, "monomials": monomials}
-    if len(exps) == 1 and exps != {0}:
-        out["pi_scale"] = exact.PiScalar(1, exps.pop()).to_json()
+    if scale is not None and scale != 1:
+        out["pi_scale"] = scale.to_json()
     return out
 
 
@@ -296,6 +296,8 @@ def cmd_zonoid(args):
 def cmd_sphere(args):
     if args.action == "ball-table":
         n = args.N
+        if n < 0:
+            raise ValueError(f"--N must be nonnegative, got {n}")
         rows = []
         for i in range(n + 1):
             rows.append({
@@ -442,12 +444,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         args.seed = _default_seed() if args.seed is None else args.seed
-        report = DISPATCH[args.command](args)
+        if not 0 < args.z < math.inf:
+            raise ValueError(f"--z must be finite and > 0, got {args.z}")
+        _emit(args, DISPATCH[args.command](args))
     except (ValueError, OSError, KeyError, ZeroDivisionError,
             ArithmeticError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, report)
     return 0
 
 

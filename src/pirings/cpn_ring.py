@@ -5,8 +5,8 @@ degree d is s^j t^(d-2j) for j in J(n, d), where t and s are the
 rescaled generators t = pi^(-2/3) beta, s = pi^(2/3) gamma.  In this
 basis the linear systems used to reduce out-of-basis monomials have
 integer Hankel matrices, so all ring arithmetic is exact rational.  The
-powers of pi that beta and gamma bring are carried term by term, and
-exact values that mix them are PiScalars.
+powers of pi that beta and gamma bring are carried by the coefficients,
+which are PiScalars.
 """
 
 from fractions import Fraction
@@ -16,9 +16,11 @@ from types import MappingProxyType
 
 from .exact import PiScalar, bareiss_solve
 from .exterior import ExteriorElement
-from .sampling import (block_stats, haar_unitary_realified, run_blocks,
-                       substream)
+from .sampling import (SamplerZonoid, haar_unitary_realified,
+                       mc_wedge_length)
 from .sphere_ring import ball_wedge_length
+
+_PI_2_3 = PiScalar(1, Fraction(2, 3))  # beta = pi^(2/3) t, s = pi^(2/3) gamma
 
 
 def j_set(n, d):
@@ -51,7 +53,7 @@ def monomial_length(n, j, i):
 
 def monomial_length_st(n, j, i):
     """Exact length of s^j t^i (rescaled basis monomials)."""
-    return monomial_length(n, j, i) * PiScalar(1, Fraction(2 * j - 2 * i, 3))
+    return monomial_length(n, j, i) * _PI_2_3 ** (j - i)
 
 
 def hankel_matrix(n, d):
@@ -96,22 +98,21 @@ def reduce_monomial(n, big_j, tpow):
 class RingElement:
     """Element of the ring of CP^n over the (s, t) basis.
 
-    coeffs maps (degree, j, e) to a nonzero Fraction c, the term
-    c pi^e s^j t^(degree - 2j); e is a Fraction.  Terms with different
-    powers of pi sit side by side, so gamma = pi^(-2/3) s and
-    beta = pi^(2/3) t stay exact and can be added freely.
+    coeffs maps (degree, j) to the nonzero PiScalar c of the term
+    c s^j t^(degree - 2j).  A coefficient may mix powers of pi, so
+    gamma = pi^(-2/3) s and beta = pi^(2/3) t stay exact and can be
+    added freely.
     """
 
     def __init__(self, n, coeffs=None):
         self.n = n
         self.coeffs = {}
-        if coeffs:
-            for (d, j, e), c in coeffs.items():
-                if j not in j_set(n, d):
-                    raise ValueError(f"index {(d, j)} outside the basis")
-                c = Fraction(c)
-                if c != 0:
-                    self.coeffs[(d, j, e)] = c
+        for (d, j), c in (coeffs or {}).items():
+            if j not in j_set(n, d):
+                raise ValueError(f"index {(d, j)} outside the basis")
+            c = c if isinstance(c, PiScalar) else PiScalar(c)
+            if c != 0:
+                self.coeffs[(d, j)] = c
 
     @classmethod
     def zero(cls, n):
@@ -119,7 +120,7 @@ class RingElement:
 
     @classmethod
     def one(cls, n):
-        return cls(n, {(0, 0, Fraction(0)): 1})
+        return cls(n, {(0, 0): 1})
 
     @classmethod
     def t(cls, n, power=1):
@@ -131,34 +132,25 @@ class RingElement:
 
     @classmethod
     def beta(cls, n, power=1):
-        return cls.monomial(n, 0, power).scale(
-            PiScalar(1, Fraction(2 * power, 3)))
+        return cls.monomial(n, 0, power, _PI_2_3 ** power)
 
     @classmethod
     def gamma(cls, n, power=1):
-        return cls.monomial(n, power, 0).scale(
-            PiScalar(1, Fraction(-2 * power, 3)))
+        return cls.monomial(n, power, 0, _PI_2_3 ** -power)
 
     @classmethod
     def monomial(cls, n, s_exp, t_exp, coeff=1):
         red = reduce_monomial(n, s_exp, t_exp)
         d = 2 * s_exp + t_exp
-        return cls(n, {(d, j, Fraction(0)): Fraction(coeff) * c
-                       for j, c in red.items()})
+        return cls(n, {(d, j): c for j, c in red.items()}).scale(coeff)
 
     def is_zero(self):
         return not self.coeffs
 
     def scale(self, a):
         """a times self, for a rational or a PiScalar a."""
-        if not isinstance(a, PiScalar):
-            a = PiScalar(a)
-        out = {}
-        for e0, a0 in a.terms.items():
-            for (d, j, e), c in self.coeffs.items():
-                key = (d, j, e + e0)
-                out[key] = out.get(key, 0) + a0 * c
-        return RingElement(self.n, out)
+        a = a if isinstance(a, PiScalar) else PiScalar(a)
+        return RingElement(self.n, {k: c * a for k, c in self.coeffs.items()})
 
     def __add__(self, other):
         if self.n != other.n:
@@ -202,38 +194,36 @@ class RingElement:
     def __repr__(self):
         if not self.coeffs:
             return f"RingElement(n={self.n}, 0)"
-        terms = []
-        for (d, j, e), c in sorted(self.coeffs.items()):
-            terms.append(f"{PiScalar(c, e)} s^{j} t^{d - 2 * j}")
+        terms = [f"({c}) s^{j} t^{d - 2 * j}"
+                 for (d, j), c in sorted(self.coeffs.items())]
         return f"RingElement(n={self.n}, {' + '.join(terms)})"
 
 
 def multiply(a, b):
-    """Graded product; out-of-basis raw monomials are reduced exactly."""
+    """Graded product; out-of-basis raw monomials are reduced exactly, each
+    once: the products of terms are first summed per raw monomial."""
     if a.n != b.n:
         raise ValueError("mixed rings")
     n = a.n
+    raw = {}
+    for (d1, j1), c1 in a.coeffs.items():
+        for (d2, j2), c2 in b.coeffs.items():
+            if d1 + d2 <= 2 * n:
+                key = (j1 + j2, d1 + d2 - 2 * (j1 + j2))
+                raw[key] = raw.get(key, 0) + c1 * c2
     out = {}
-    for (d1, j1, e1), c1 in a.coeffs.items():
-        for (d2, j2, e2), c2 in b.coeffs.items():
-            big_j = j1 + j2
-            tpow = (d1 - 2 * j1) + (d2 - 2 * j2)
-            d = 2 * big_j + tpow
-            if d > 2 * n:
-                continue
-            e = e1 + e2
-            for j, r in reduce_monomial(n, big_j, tpow).items():
-                key = (d, j, e)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2 * r
+    for (big_j, tpow), c in raw.items():
+        d = 2 * big_j + tpow
+        for j, r in reduce_monomial(n, big_j, tpow).items():
+            out[(d, j)] = out.get((d, j), 0) + c * r
     return RingElement(n, out)
 
 
 def length_by_degree(e):
     """Length functional per degree, as exact PiScalars."""
     out = {}
-    for (d, j, pi_exp), c in e.coeffs.items():
-        val = monomial_length_st(e.n, j, d - 2 * j) * PiScalar(c, pi_exp)
-        out[d] = out.get(d, PiScalar(0)) + val
+    for (d, j), c in e.coeffs.items():
+        out[d] = out.get(d, 0) + monomial_length_st(e.n, j, d - 2 * j) * c
     return {d: v for d, v in out.items() if v != 0}
 
 
@@ -277,7 +267,7 @@ def relation_beta_gamma(n):
     st = relation_st(n)
     # s^j t^i = pi^((2j - 2i)/3) gamma^j beta^i; the lead has the largest j
     lead_j, lead_i = max(st)
-    return {(j, i): PiScalar(c, Fraction(2 * (j - i - lead_j + lead_i), 3))
+    return {(j, i): c * _PI_2_3 ** (j - i - lead_j + lead_i)
             for (j, i), c in st.items()}
 
 
@@ -361,19 +351,31 @@ def tasaki_kernel_d2(n, x, y):
     return ((1 + x) * (1 + y) + Fraction(n, n - 1) * (1 - x) * (1 - y)) / 4
 
 
-def _v_theta(n, x):
-    """Factor matrix of the plane spanned by e1 and cos(t) i e1 + sin(t) e2.
-
-    x = cos^2(t); coordinates are interleaved real/imaginary in R^(2n).
-    """
+def _v_theta(x):
+    """Factor matrix of the plane spanned by e1 and cos(t) i e1 + sin(t) e2,
+    x = cos^2(t), in the first four of the interleaved real/imaginary
+    coordinates of R^(2n), which hold it."""
     import numpy as np
-    c, s = math.sqrt(x), math.sqrt(1 - x)
-    u1 = np.zeros(2 * n)
-    u1[0] = 1.0
-    u2 = np.zeros(2 * n)
-    u2[1] = c
-    u2[2] = s
-    return np.array([u1, u2])
+    return np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, math.sqrt(x), math.sqrt(1 - x), 0.0]])
+
+
+class _TasakiSampler:
+    """<h V_x, V_y> for a Haar unitary h of C^n: two rows in R^2 whose
+    wedge norm is |<h V_x, V_y>|, the 2 x 2 determinant."""
+
+    degree = ambient_dim = 2
+
+    def __init__(self, n, x, y):
+        self.n, self.vx, self.vy = n, _v_theta(x), _v_theta(y)
+
+    def draw(self, rng, out):
+        import numpy as np
+        # V_x lives in coordinates 0-2, so h acts on it through its first
+        # two complex columns; h[c, a, s] is entry a of column c in trial s
+        h = haar_unitary_realified(self.n, rng, out.shape[-1], cols=2).T
+        np.einsum("ic,jcs->ijs", self.vx,
+                  np.einsum("ja,cas->jcs", self.vy, h[:, :4]), out=out)
 
 
 def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
@@ -386,19 +388,8 @@ def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
     x = y = 1, where E|<h V_1, V_1>| = 1/n and the kernel is 1).
     """
     _check_tasaki_args(n, x, y)
-    import numpy as np
-    # V_theta lives in coordinates 0-2, so h acts on it through its first
-    # four realified columns: two complex columns
-    vx = _v_theta(n, x)[:, :4]
-    vy = _v_theta(n, y)
-
-    def block_fn(b, size):
-        # batch-last columns of h: h[c, a, s] is entry a of column c
-        h = haar_unitary_realified(n, substream(seed, 0, b), size, cols=2).T
-        g = np.einsum("ic,jcs->ijs", vx, np.einsum("ja,cas->jcs", vy, h))
-        return block_stats(n * np.abs(g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]))
-
-    return run_blocks(samples, seed, block_fn, workers)
+    return mc_wedge_length([SamplerZonoid(n, _TasakiSampler(n, x, y))],
+                           samples, seed, workers)
 
 
 def omega_element(n, k):

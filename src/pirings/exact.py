@@ -207,9 +207,12 @@ class PiScalar:
         """The sum of c * pi**e over the (e, c) pairs."""
         terms = {}
         for e, c in pairs:
-            terms[e] = terms.get(e, 0) + c
+            old = terms.get(e)
+            terms[e] = c if old is None else old + c
         out = cls.__new__(cls)
-        out.terms = {e: c for e, c in terms.items() if c}
+        # Fraction hashes are slow: rebuild only when a term cancelled
+        out.terms = (terms if all(terms.values())
+                     else {e: c for e, c in terms.items() if c})
         return out
 
     def __mul__(self, other):
@@ -231,10 +234,10 @@ class PiScalar:
         return float(self) / other
 
     def __add__(self, other):
-        if is_exact(other):
+        if not isinstance(other, PiScalar):
+            if not is_exact(other):
+                return float(self) + other
             other = PiScalar(other)
-        elif not isinstance(other, PiScalar):
-            return float(self) + other
         return PiScalar._sum([*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__

@@ -315,8 +315,6 @@ def mc_wedge_length(zs, samples, seed, workers=1):
         scale *= z.scale
 
     def block_fn(b, size):
-        if scale == 0.0:
-            return block_stats(np.zeros(size))
         block = np.empty((deg, n, size))
         row = 0
         for slot, z in enumerate(zs):

@@ -57,6 +57,9 @@ def sphere_expected_count(n, codims, vol_ratios):
     """
     codims = list(codims)
     vol_ratios = list(vol_ratios)
+    if n < 0 or any(d < 0 for d in codims):
+        raise ValueError(f"n and the codimensions must be nonnegative, "
+                         f"got n={n}, codims={codims}")
     if len(codims) != len(vol_ratios):
         raise ValueError("codims and vol_ratios must have equal length")
     if sum(codims) != n:

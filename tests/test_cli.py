@@ -319,6 +319,15 @@ class TestOutputModes:
         assert code == 0
         assert json.loads(path.read_text())["n"] == 2
 
+    def test_output_to_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.json"
+        code, err = run_err(capsys, "cpn", "basis", "--n", "1",
+                            "--output", str(path))
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: " \
+                      f"{str(path)!r}\n"
+        assert not path.parent.exists()
+
     def test_seed_env_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("ZONOID_SEED", "77")
         data = run_json(capsys, "cpn", "relations", "--n", "2")
@@ -375,6 +384,31 @@ def test_bad_sample_or_worker_count(capsys, argv):
     assert code == 1
     assert err.startswith("error: ")
     assert "must be at least 1" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("cpn", "tasaki", "--n", "2", "--mc", "--samples", "10", "--z", "nan"),
+     "--z must be finite and > 0, got nan"),
+    (("cpn", "tasaki", "--n", "2", "--mc", "--samples", "10", "--z", "-3"),
+     "--z must be finite and > 0, got -3.0"),
+    (("sphere", "ball-mc", "--samples", "10", "--z", "inf"),
+     "--z must be finite and > 0, got inf"),
+    (("cpn", "relations", "--n", "2", "--z", "0"),
+     "--z must be finite and > 0, got 0.0"),
+    (("sphere", "ball-table", "--N", "-1"), "--N must be nonnegative, got -1"),
+    (("sphere", "expected-count", "--n", "-1", "--codims", "-1",
+      "--ratios", "1"),
+     "n and the codimensions must be nonnegative, got n=-1, codims=[-1]"),
+    (("sphere", "expected-count", "--n", "2", "--codims", "3,-1",
+      "--ratios", "1,1"),
+     "n and the codimensions must be nonnegative, got n=2, codims=[3, -1]"),
+])
+def test_bad_argument_value(capsys, argv, message):
+    # a nan or negative z printed invalid JSON or an inverted interval;
+    # a negative N printed no rows, and a negative n a factorial error
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("count", ["0", "-2"])

@@ -321,6 +321,9 @@ def cmd_sphere(args):
                                    if isinstance(val, exact.PiScalar)
                                    else val)}
     if args.action == "ball-mc":
+        if not 1 <= args.i <= args.N:
+            raise ValueError(f"need 1 <= --i <= --N, got --N {args.N} "
+                             f"and --i {args.i}")
         est = sampling.mc_wedge_length(
             [sampling.gaussian_ball(args.N)] * args.i,
             args.samples, args.seed, args.workers)

@@ -69,30 +69,34 @@ def hankel_matrix(n, d):
              for b in js] for a in js]
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def reduce_monomial(n, big_j, tpow):
-    """Express the raw monomial s^big_j t^tpow in the degree-d basis.
+@functools.lru_cache(maxsize=1 << 10)
+def _degree_reductions(n, d):
+    """Reductions of s^J t^(d - 2J), J = 0 .. d // 2, for 0 <= d <= 2n.  A
+    basis monomial maps to itself; the others are matched in length against
+    all monomials of degree 2n - d, so they share one Hankel matrix and one
+    exact elimination."""
+    js = j_set(n, d)
+    out = [MappingProxyType({j: Fraction(1)}) for j in js]
+    if big_js := range(len(js), d // 2 + 1):
+        comp = 2 * n - d
+        rhs = [[math.comb(2 * (n - big_j - k), n - big_j - k)
+                if big_j + k <= n else 0 for big_j in big_js]
+               for k in j_set(n, comp)]
+        det, y = bareiss_solve(hankel_matrix(n, comp), rhs)
+        out += [MappingProxyType({j: Fraction(row[c], det)
+                                  for j, row in zip(js, y) if row[c]})
+                for c in range(len(big_js))]
+    return tuple(out)
 
-    Returns a read-only map j -> coefficient over the basis of degree
-    d = 2 big_j + tpow.  Coefficients solve the system matching lengths
-    against all complementary monomials of total degree 2n, by one
-    exact elimination; results are cached per (n, big_j, tpow), since a
-    product reduces the same monomial many times.
-    """
+
+def reduce_monomial(n, big_j, tpow):
+    """Express the raw monomial s^big_j t^tpow in the basis of its degree
+    d = 2 big_j + tpow, as a read-only map j -> coefficient."""
     if big_j < 0 or tpow < 0:
         raise ValueError("negative exponent")
     d = 2 * big_j + tpow
-    if d > 2 * n or big_j > n:
-        return MappingProxyType({})
-    js = j_set(n, d)
-    if big_j in js:
-        return MappingProxyType({big_j: Fraction(1)})
-    comp = 2 * n - d
-    mat = hankel_matrix(n, comp)
-    rhs = [math.comb(2 * (n - big_j - k), n - big_j - k)
-           if big_j + k <= n else 0 for k in j_set(n, comp)]
-    coeffs = bareiss_solve(mat, rhs)
-    return MappingProxyType({j: c for j, c in zip(js, coeffs) if c != 0})
+    return (_degree_reductions(n, d)[big_j] if d <= 2 * n
+            else MappingProxyType({}))
 
 
 class RingElement:

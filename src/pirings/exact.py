@@ -10,6 +10,7 @@ import contextlib
 from fractions import Fraction
 import math
 import numbers
+import operator
 
 
 def is_exact(x):
@@ -144,28 +145,27 @@ def pivot_rows_mod_p(rows):
 
 
 def bareiss_solve(matrix, rhs):
-    """Solve a square system exactly; returns a list of Fractions.
+    """(D, Y) with Y = D A^-1 B, for a square integer matrix A and integer
+    rows B, one column per right-hand side; all Python ints.
 
-    Each equation is first scaled to integer coefficients.  One
-    fraction-free (Bareiss) elimination of the augmented matrix [A | b]
-    then leaves an upper triangular system whose last pivot D is the
-    determinant of the row-permuted A.  Back-substitution on the
-    integers y = D x divides exactly, and each unknown is y_i / D.
+    One fraction-free (Bareiss) elimination of [A | B] leaves an upper
+    triangular system whose last pivot D is the determinant of the
+    row-permuted A; back-substitution on the integers Y divides exactly.
     Raises ValueError on a singular matrix.
     """
     n = len(matrix)
-    if len(rhs) != n or any(len(row) != n for row in matrix):
-        raise ValueError("need a square matrix and a matching right-hand side")
-    m = [integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
-    if not _bareiss(m, n + 1):
+    if len(rhs) != n or {*map(len, matrix)} - {n} or len({*map(len, rhs)}) > 1:
+        raise ValueError("need a square matrix and matching right-hand sides")
+    m = [[*row, *b] for row, b in zip(matrix, rhs)]
+    if not _bareiss(m, len(m[0]) if n else 0):
         raise ValueError("singular matrix")
-    det = m[n - 1][n - 1] if n else 1
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
+    det = m[-1][n - 1] if n else 1
+    y = [row[n:] for row in m]  # the last row's pivot is det: y is its tail
+    for i in range(n - 2, -1, -1):
         row = m[i]
-        acc = det * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))
-        y[i] = acc // row[i]
-    return [Fraction(v, det) for v in y]
+        y[i] = [(det * b - sum(map(operator.mul, row[i + 1:n], col))) // row[i]
+                for b, col in zip(y[i], zip(*y[i + 1:]))]
+    return det, y
 
 
 def gamma_half(two_k):

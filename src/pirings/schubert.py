@@ -10,7 +10,7 @@ from fractions import Fraction
 import itertools
 import math
 
-from .exact import P31, pivot_rows_mod_p
+from .exact import P31, bareiss_solve, pivot_rows_mod_p
 from .exterior import SimpleVector, wedge_inner
 from .sampling import (
     Estimate,
@@ -250,9 +250,9 @@ def rational_schubert(parts, k, m, rng, size):
     """size rotates of the Schubert vector of a diagram with integer
     coordinates: box (i, j) goes to P e_i (x) R f_j, each of P and R being
     (I - S) adj(I + S), det(I + S) times the Cayley rotation of a skew S
-    with entries uniform on [-B, B], B = 4 k m (k + m).  A fraction-free
-    Gauss-Jordan elimination of [I + S | I - S] builds it; no pivot is
-    zero, as the leading minors of I + S are at least 1.
+    with entries uniform on [-B, B], B = 4 k m (k + m).  It is the Y of
+    exact.bareiss_solve(I + S, I - S); no pivot is zero, as the leading
+    minors of I + S are at least 1, so D = det(I + S).
     """
     lam = as_diagram(parts)
     if not lam.fits(k, m):
@@ -263,18 +263,12 @@ def rational_schubert(parts, k, m, rng, size):
         pairs = list(itertools.combinations(range(n), 2))
         out = []
         for skew in rng.integers(-box, box + 1, (size, len(pairs))).tolist():
-            g = [[int(a == b) for b in range(n)] * 2 for a in range(n)]
-            for (a, b), x in zip(pairs, skew):
-                g[a][b], g[b][a], g[a][n + b], g[b][n + a] = x, -x, -x, x
-            prev = 1
-            for i in range(n):
-                pivot_row = g[i]
-                pivot = pivot_row[i]
-                g = [row if r == i else [(x * pivot - row[i] * y) // prev
-                                         for x, y in zip(row, pivot_row)]
-                     for r, row in enumerate(g)]
-                prev = pivot
-            out.append([[row[n + j] for row in g] for j in range(cols)])
+            a = [[int(i == j) for j in range(n)] for i in range(n)]
+            b = [row[:] for row in a]
+            for (i, j), x in zip(pairs, skew):
+                a[i][j], a[j][i], b[i][j], b[j][i] = x, -x, -x, x
+            _, y = bareiss_solve(a, b)
+            out.append(list(zip(*y))[:cols])  # the first cols columns
         rotations.append(out)
     return [SimpleVector(k * m, [[x * y for x in p[i] for y in r[j]]
                                  for i, j in lam.boxes()])

@@ -359,7 +359,7 @@ class TestOutputModes:
     def test_ball_mc_of_no_balls(self, capsys):
         code, err = run_err(capsys, "sphere", "ball-mc", "--N", "3", "--i", "0")
         assert code == 1
-        assert err == "error: mc_wedge_length needs at least one zonoid\n"
+        assert err == "error: need 1 <= --i <= --N, got --N 3 and --i 0\n"
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -402,10 +402,19 @@ def test_bad_sample_or_worker_count(capsys, argv):
     (("sphere", "expected-count", "--n", "2", "--codims", "3,-1",
       "--ratios", "1,1"),
      "n and the codimensions must be nonnegative, got n=2, codims=[3, -1]"),
+    (("sphere", "ball-mc", "--N", "-1", "--i", "1"),
+     "need 1 <= --i <= --N, got --N -1 and --i 1"),
+    (("sphere", "ball-mc", "--N", "3", "--i", "5"),
+     "need 1 <= --i <= --N, got --N 3 and --i 5"),
+    (("sphere", "ball-mc", "--N", "3", "--i", "-1"),
+     "need 1 <= --i <= --N, got --N 3 and --i -1"),
+    (("sphere", "ball-mc", "--N", "3", "--i", "0"),
+     "need 1 <= --i <= --N, got --N 3 and --i 0"),
 ])
 def test_bad_argument_value(capsys, argv, message):
     # a nan or negative z printed invalid JSON or an inverted interval;
-    # a negative N printed no rows, and a negative n a factorial error
+    # a negative N printed no rows, and a negative n a factorial error;
+    # ball-mc named neither --N nor --i
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from pirings import cpn_ring as cp
 from pirings.cli import _parse_ring_expr
 from pirings.cpn_ring import RingElement
-from pirings.exact import PiScalar, bareiss_det
+from pirings.exact import PiScalar, bareiss_det, bareiss_solve
 
 
 class TestDimension:
@@ -128,6 +128,21 @@ class TestReduceMonomial:
         with pytest.raises(TypeError):
             red[0] = Fraction(7)
         assert cp.reduce_monomial(4, 3, 0) == cramer_reduce(4, 3, 0)
+
+    def test_one_solve_per_degree(self, monkeypatch):
+        # every out-of-basis monomial of a degree shares its Hankel matrix
+        matrices = []
+
+        def counting_solve(matrix, rhs):
+            matrices.append(tuple(map(tuple, matrix)))
+            return bareiss_solve(matrix, rhs)
+
+        monkeypatch.setattr(cp, "bareiss_solve", counting_solve)
+        cp._degree_reductions.cache_clear()
+        n, d_x, delta_x = 32, Fraction(7, 3), Fraction(-5, 2)
+        assert (cp.self_intersection_via_ring(n, d_x, delta_x)
+                == cp.self_intersection_codim2(n, d_x, delta_x))
+        assert matrices and len(set(matrices)) == len(matrices) <= n
 
 
 PI_EXPS = [Fraction(k, 3) for k in (-2, 0, 2, 4)]

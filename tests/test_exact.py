@@ -109,17 +109,27 @@ class TestBareiss:
             assert ex.int_det(m) == ex.bareiss_det(m)
 
     def test_solve(self):
-        x = ex.bareiss_solve([[6, 2], [2, 1]], [2, 1])
-        assert x == [Fraction(0), Fraction(1)]
+        # D is the determinant 2, and Y = D x for x = (0, 1)
+        assert ex.bareiss_solve([[6, 2], [2, 1]], [[2], [1]]) == (
+            2, [[0], [2]])
 
     def test_solve_singular(self):
         with pytest.raises(ValueError):
-            ex.bareiss_solve([[1, 2], [2, 4]], [1, 1])
+            ex.bareiss_solve([[1, 2], [2, 4]], [[1], [1]])
 
 
 def as_fraction(x):
     # Fraction of a numpy integer would keep numpy ints, which overflow
     return Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
+
+
+def solve_scaled(matrix, rhs):
+    """x = A^-1 b as Fractions, for entries of any exact type or floats:
+    each equation is scaled to integers with exact.integer_row, and
+    bareiss_solve solves for the one right-hand side."""
+    rows = [ex.integer_row([*row, b])[0] for row, b in zip(matrix, rhs)]
+    det, y = ex.bareiss_solve([r[:-1] for r in rows], [r[-1:] for r in rows])
+    return [Fraction(v, det) for v, in y]
 
 
 def gauss_solve(matrix, rhs):
@@ -154,6 +164,14 @@ def systems(draw, entries):
     return mat, rhs
 
 
+@st.composite
+def blocks(draw):
+    """A square integer matrix and integer rows with 0-3 right-hand sides."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(0, 3))
+    mat = [[draw(small_ints) for _ in range(n)] for _ in range(n)]
+    return mat, [[draw(small_ints) for _ in range(r)] for _ in range(n)]
+
+
 class TestBareissSolve:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(systems(small_ints), systems(rationals)))
@@ -161,11 +179,38 @@ class TestBareissSolve:
         mat, rhs = system
         if ex.bareiss_det(mat) == 0:
             with pytest.raises(ValueError):
-                ex.bareiss_solve(mat, rhs)
+                solve_scaled(mat, rhs)
         else:
-            x = ex.bareiss_solve(mat, rhs)
+            x = solve_scaled(mat, rhs)
             assert x == gauss_solve(mat, rhs)
             assert all(isinstance(v, Fraction) for v in x)
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocks())
+    def test_integer_contract(self, block):
+        # D = +-det A and A Y = D B, all in Python ints
+        mat, rhs = block
+        if ex.int_det(mat) == 0:
+            with pytest.raises(ValueError):
+                ex.bareiss_solve(mat, rhs)
+            return
+        det, y = ex.bareiss_solve(mat, rhs)
+        assert abs(det) == abs(ex.int_det(mat))
+        assert type(det) is int and all(type(v) is int for r in y for v in r)
+        assert [[sum(a * row[c] for a, row in zip(arow, y))
+                 for c in range(len(rhs[0]))] for arow in mat] == [
+            [det * b for b in brow] for brow in rhs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(blocks())
+    def test_block_equals_columns(self, block):
+        mat, rhs = block
+        if ex.int_det(mat) == 0:
+            return
+        det, y = ex.bareiss_solve(mat, rhs)
+        for c in range(len(rhs[0])):
+            assert ex.bareiss_solve(mat, [[row[c]] for row in rhs]) == (
+                det, [[row[c]] for row in y])
 
     @settings(max_examples=50, deadline=None)
     @given(systems(small_ints), st.data())
@@ -178,13 +223,16 @@ class TestBareissSolve:
         mat[r] = [sum(c * mat[i][j] for i, c in enumerate(coeffs) if i != r)
                   for j in range(n)]
         with pytest.raises(ValueError):
-            ex.bareiss_solve(mat, rhs)
+            solve_scaled(mat, rhs)
 
     def test_needs_pivoting(self):
-        assert ex.bareiss_solve([[0, 1], [1, 0]], [3, 4]) == [4, 3]
+        # D is the determinant of the row-permuted matrix
+        assert ex.bareiss_solve([[0, 1], [1, 0]], [[3], [4]]) == (
+            1, [[4], [3]])
         assert ex.bareiss_solve([[0, 0, 1], [0, 2, 0], [3, 0, 0]],
-                                [1, 1, 1]) == [Fraction(1, 3),
-                                               Fraction(1, 2), 1]
+                                [[1], [1], [1]]) == (6, [[2], [3], [6]])
+        assert solve_scaled([[0, 0, 1], [0, 2, 0], [3, 0, 0]],
+                            [1, 1, 1]) == [Fraction(1, 3), Fraction(1, 2), 1]
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -198,20 +246,22 @@ class TestBareissSolve:
             if ex.bareiss_det(mat) == 0:
                 continue
             want = sympy.Matrix(mat).LUsolve(sympy.Matrix(rhs))
-            assert ex.bareiss_solve(mat, rhs) == [
+            assert solve_scaled(mat, rhs) == [
                 Fraction(int(v.p), int(v.q)) for v in want]
 
     def test_floats_are_read_exactly(self):
-        assert ex.bareiss_solve([[0.5]], [0.25]) == [Fraction(1, 2)]
+        assert solve_scaled([[0.5]], [0.25]) == [Fraction(1, 2)]
 
     def test_empty_system(self):
-        assert ex.bareiss_solve([], []) == []
+        assert ex.bareiss_solve([], []) == (1, [])
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            ex.bareiss_solve([[1, 2]], [1])
+            ex.bareiss_solve([[1, 2]], [[1]])
         with pytest.raises(ValueError):
-            ex.bareiss_solve([[1]], [1, 2])
+            ex.bareiss_solve([[1]], [[1], [2]])
+        with pytest.raises(ValueError):
+            ex.bareiss_solve([[1, 0], [0, 1]], [[1], [1, 2]])
 
 
 @st.composite

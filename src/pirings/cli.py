@@ -11,7 +11,6 @@ import io
 import json
 import math
 import os
-import re
 import sys
 from fractions import Fraction
 
@@ -84,95 +83,6 @@ def _ring_to_json(e):
     return out
 
 
-_RING_TOKEN = re.compile(r"""
-    (?P<num>\.?\d[\d_.]*(?:[eE][-+]?\d+)?(?:/\d+)?)
-  | (?P<name>[A-Za-z_]\w*)
-  | (?P<op>[-+*^])
-""", re.VERBOSE)
-_GENERATORS = ("s", "t", "beta", "gamma")
-_END = (None, "end of input")
-
-
-def _ring_tokens(text):
-    """(kind, text) pairs of a ring expression, ending with _END.
-
-    Whitespace is ignored, so '1 / 3' is the number 1/3.
-    """
-    squeezed = re.sub(r"\s+", "", text)
-    pos, out = 0, []
-    while pos < len(squeezed):
-        m = _RING_TOKEN.match(squeezed, pos)
-        if m is None:
-            raise ValueError(f"unexpected character {squeezed[pos]!r} "
-                             f"in {text!r}")
-        out.append((m.lastgroup, m.group()))
-        pos = m.end()
-    return out + [_END]
-
-
-def _ring_terms(text):
-    """Split a ring expression into signed products of powers.
-
-    Grammar: expr = term (sign term)*, term = sign* factor ('*' factor)*,
-    factor = (number | generator) ['^' exponent].  A number is anything
-    Fraction accepts (1/3, 2.5, 1e-3); an exponent is a nonnegative
-    integer.  Returns [(negative, [(token, power), ...]), ...].
-    """
-    toks = _ring_tokens(text)
-    i = 0
-    terms = []
-    while True:
-        negative = False
-        while toks[i][1] in ("+", "-"):
-            negative ^= toks[i][1] == "-"
-            i += 1
-        factors = []
-        while True:
-            kind, tok = toks[i]
-            if kind not in ("num", "name"):
-                raise ValueError(f"expected a number or a generator, got "
-                                 f"{tok!r} in {text!r}")
-            if kind == "name" and tok not in _GENERATORS:
-                raise ValueError(f"unknown symbol {tok!r} in {text!r}; "
-                                 f"generators are {', '.join(_GENERATORS)}")
-            power = 1
-            if toks[i + 1][1] == "^":
-                exp = toks[i + 2][1]
-                if not re.fullmatch(r"[0-9]+", exp):
-                    raise ValueError(f"exponent of {tok!r} must be a "
-                                     f"nonnegative integer, got {exp!r} "
-                                     f"in {text!r}")
-                power = int(exp)
-                i += 2
-            factors.append((tok, power))
-            i += 1
-            if toks[i][1] != "*":
-                break
-            i += 1
-        terms.append((negative, factors))
-        if toks[i] == _END:
-            return terms
-        if toks[i][1] not in ("+", "-"):
-            raise ValueError(f"unexpected {toks[i][1]!r} in {text!r}")
-
-
-def _parse_ring_expr(n, text):
-    """Parse expressions like '2*s^2*t - 1/3*beta^3 + 1e-3*gamma'."""
-    if not text:
-        raise ValueError("missing ring expression")
-    total = cpn_ring.RingElement.zero(n)
-    for negative, factors in _ring_terms(text):
-        coeff = Fraction(-1 if negative else 1)
-        elem = cpn_ring.RingElement.one(n)
-        for tok, power in factors:
-            if tok in _GENERATORS:
-                elem = elem * getattr(cpn_ring.RingElement, tok)(n, power)
-            else:
-                coeff *= Fraction(tok) ** power
-        total = total + elem.scale(coeff)
-    return total
-
-
 def cmd_cpn(args):
     n = args.n
     if n < 0:
@@ -189,8 +99,8 @@ def cmd_cpn(args):
             },
         }
     if args.action == "multiply":
-        a = _parse_ring_expr(n, args.a)
-        b = _parse_ring_expr(n, args.b)
+        a = cpn_ring.RingElement.parse(n, args.a)
+        b = cpn_ring.RingElement.parse(n, args.b)
         return {"n": n, "product": _ring_to_json(a * b)}
     if args.action == "relations":
         f_n, f_n1 = cpn_ring.relations(n)
@@ -203,7 +113,7 @@ def cmd_cpn(args):
             }
         return {"n": n, "F_n": fmt(f_n), "F_n+1": fmt(f_n1)}
     if args.action == "length":
-        e = _parse_ring_expr(n, args.expr)
+        e = cpn_ring.RingElement.parse(n, args.expr)
         return {"n": n, "length_by_degree": {
             str(d): v.to_json()
             for d, v in cpn_ring.length_by_degree(e).items()}}
@@ -225,7 +135,6 @@ def cmd_cpn(args):
                 n, args.x, args.y, args.samples, args.seed, args.workers)
             out["estimate"] = est.to_json(args.z)
         return out
-    raise ValueError(f"unknown cpn action {args.action}")
 
 
 def _diagram(text):
@@ -259,7 +168,6 @@ def cmd_schubert(args):
         out["components"] = {k2: v.to_json(args.z)
                              for k2, v in est.components.items()}
         return out
-    raise ValueError(f"unknown schubert action {args.action}")
 
 
 def _load_zonoids(path):
@@ -290,7 +198,6 @@ def cmd_zonoid(args):
         l_zon = _load_zonoids(args.L)[0]
         k_zon = _load_zonoids(args.K)[0]
         return {"value": _num(zonoid.crofton_evaluate(l_zon, k_zon))}
-    raise ValueError(f"unknown zonoid action {args.action}")
 
 
 def cmd_sphere(args):
@@ -330,7 +237,6 @@ def cmd_sphere(args):
         closed = sphere_ring.ball_wedge_length(args.N, 0, args.i, 1)
         return {"N": args.N, "i": args.i, "exact": float(closed),
                 "estimate": est.to_json(args.z)}
-    raise ValueError(f"unknown sphere action {args.action}")
 
 
 def _num(x):

@@ -12,6 +12,7 @@ which are PiScalars.
 from fractions import Fraction
 import functools
 import math
+import re
 from types import MappingProxyType
 
 from .exact import PiScalar, bareiss_solve
@@ -21,6 +22,11 @@ from .sampling import (SamplerZonoid, haar_unitary_realified,
 from .sphere_ring import ball_wedge_length
 
 _PI_2_3 = PiScalar(1, Fraction(2, 3))  # beta = pi^(2/3) t, s = pi^(2/3) gamma
+# generator -> (s exponent, t exponent, power of pi^(2/3)) of its raw monomial
+_GENERATORS = {"s": (1, 0, 0), "t": (0, 1, 0), "beta": (0, 1, 1),
+               "gamma": (1, 0, -1)}
+_TOKEN = re.compile(r"(?P<num>\.?\d[\d_.]*(?:[eE][-+]?\d+)?(?:/\d+)?)"
+                    r"|(?P<name>[A-Za-z_]\w*)|(?P<op>[-+*^])|(?P<bad>.)")
 
 
 def j_set(n, d):
@@ -144,9 +150,63 @@ class RingElement:
 
     @classmethod
     def monomial(cls, n, s_exp, t_exp, coeff=1):
-        red = reduce_monomial(n, s_exp, t_exp)
-        d = 2 * s_exp + t_exp
-        return cls(n, {(d, j): c for j, c in red.items()}).scale(coeff)
+        c = coeff if isinstance(coeff, PiScalar) else PiScalar(coeff)
+        return _reduced(n, {(s_exp, t_exp): c})
+
+    @classmethod
+    def parse(cls, n, text):
+        """The element an expression like '2*s^2*t - 1/3*beta^3 + gamma' names.
+
+        expr = term (sign term)*, term = sign* factor ('*' factor)*, and
+        factor = (number | generator) ['^' exponent], where a number is
+        what Fraction reads (1/3, 2.5, 1e-3) and an exponent a nonnegative
+        integer.  Whitespace is dropped first, so '1 / 3' is 1/3.  Each
+        term is one raw monomial; the terms are added in input order.
+        """
+        if not text:
+            raise ValueError("missing ring expression")
+        toks = [(m.lastgroup, m.group()) for m in _TOKEN.finditer(
+            re.sub(r"\s+", "", text))] + [(None, "end of input")]
+        if bad := [tok for kind, tok in toks if kind == "bad"]:
+            raise ValueError(f"unexpected character {bad[0]!r} in {text!r}")
+        total, i = cls.zero(n), 0
+        while True:
+            coeff, raw = Fraction(1), [0, 0, 0]  # s, t and pi^(2/3) powers
+            while toks[i][1] in ("+", "-"):
+                coeff, i = (-coeff if toks[i][1] == "-" else coeff), i + 1
+            while True:
+                kind, tok = toks[i]
+                if kind not in ("num", "name"):
+                    raise ValueError(f"expected a number or a generator, "
+                                     f"got {tok!r} in {text!r}")
+                if kind == "name" and tok not in _GENERATORS:
+                    raise ValueError(f"unknown symbol {tok!r} in {text!r}; "
+                                     f"generators are "
+                                     f"{', '.join(_GENERATORS)}")
+                exp = "1"
+                if toks[i + 1][1] == "^":
+                    exp, i = toks[i + 2][1], i + 2
+                if not re.fullmatch(r"[0-9]+", exp):
+                    raise ValueError(f"exponent of {tok!r} must be a "
+                                     f"nonnegative integer, got {exp!r} "
+                                     f"in {text!r}")
+                if kind == "num":
+                    try:
+                        coeff *= Fraction(tok) ** int(exp)
+                    except (ValueError, ZeroDivisionError) as exc:
+                        raise ValueError(f"{exc} in {text!r}") from None
+                else:
+                    raw = [r + g * int(exp)
+                           for r, g in zip(raw, _GENERATORS[tok])]
+                i += 1
+                if toks[i][1] != "*":
+                    break
+                i += 1
+            total += cls.monomial(n, raw[0], raw[1], coeff * _PI_2_3 ** raw[2])
+            if toks[i][0] is None:
+                return total
+            if toks[i][1] not in ("+", "-"):
+                raise ValueError(f"unexpected {toks[i][1]!r} in {text!r}")
 
     def is_zero(self):
         return not self.coeffs
@@ -215,6 +275,12 @@ def multiply(a, b):
             if d1 + d2 <= 2 * n:
                 key = (j1 + j2, d1 + d2 - 2 * (j1 + j2))
                 raw[key] = raw.get(key, 0) + c1 * c2
+    return _reduced(n, raw)
+
+
+def _reduced(n, raw):
+    """The element of CP^n summing c s^J t^k over the raw monomial map
+    (J, k) -> c, each raw monomial reduced exactly, once."""
     out = {}
     for (big_j, tpow), c in raw.items():
         d = 2 * big_j + tpow
@@ -288,10 +354,7 @@ def relations(n):
 
 def evaluate_relation_st(rel_st, n):
     """Evaluate a relation (in s, t form) inside the ring of CP^n."""
-    out = RingElement.zero(n)
-    for (j, i), c in rel_st.items():
-        out = out + RingElement.monomial(n, j, i, c)
-    return out
+    return _reduced(n, rel_st)
 
 
 def codim2_coeffs(n, d_x, delta_x):

@@ -110,7 +110,8 @@ class TestCpn:
         assert a["length_by_degree"] == b["length_by_degree"]
 
     @pytest.mark.parametrize("expr", ["s^-1", "s^", "t^x", "s^2.5", "s**2",
-                                      "2*-s", "s +", "-", "2s", "(s)"])
+                                      "2*-s", "s +", "-", "2s", "(s)",
+                                      "1/0*s", "1..2*s"])
     def test_malformed_expression(self, capsys, expr):
         code, err = run_err(capsys, "cpn", "length", "--n", "2",
                             "--expr", expr)

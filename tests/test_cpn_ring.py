@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pirings import cpn_ring as cp
-from pirings.cli import _parse_ring_expr
 from pirings.cpn_ring import RingElement
 from pirings.exact import PiScalar, bareiss_det, bareiss_solve
 
@@ -246,7 +245,46 @@ class TestRingExpressionRoundTrip:
     @given(st.integers(0, 5).flatmap(
         lambda n: ring_elements(n, [Fraction(0)])))
     def test_print_then_parse(self, e):
-        assert _parse_ring_expr(e.n, ring_expr(e)) == e
+        assert RingElement.parse(e.n, ring_expr(e)) == e
+
+
+@st.composite
+def expression_terms(draw):
+    """(n, [(coefficient, [(generator, power), ...]), ...]) with powers up
+    to 2n + 1, so some terms land above the top degree."""
+    n = draw(st.integers(0, 6))
+    factor = st.tuples(st.sampled_from(["s", "t", "beta", "gamma"]),
+                       st.integers(0, 2 * n + 1))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    return n, draw(st.lists(st.tuples(coeff, st.lists(factor, max_size=4)),
+                            min_size=1, max_size=4))
+
+
+class TestParse:
+    @settings(max_examples=80, deadline=None)
+    @given(expression_terms())
+    def test_matches_products_of_generators(self, n_terms):
+        # the construction the reader replaced: each term a ring product
+        # of generator powers, so this checks the one-monomial reading
+        n, terms = n_terms
+        text = " + ".join(
+            "*".join([str(c)] + [f"{g}^{p}" for g, p in factors])
+            for c, factors in terms)
+        want = RingElement.zero(n)
+        for c, factors in terms:
+            elem = RingElement.one(n)
+            for g, p in factors:
+                elem = elem * getattr(RingElement, g)(n, p)
+            want = want + elem.scale(c)
+        assert RingElement.parse(n, text) == want
+
+    def test_monomial_is_product_of_powers(self):
+        # reduction is a ring homomorphism on raw monomials
+        for n in range(7):
+            for a in range(2 * n + 2):
+                for b in range(2 * n + 2):
+                    assert (RingElement.monomial(n, a, b)
+                            == RingElement.s(n, a) * RingElement.t(n, b))
 
 
 class TestMultiply:

@@ -252,13 +252,13 @@ class PiScalar:
         return self * -1
 
     def __pow__(self, k):
-        if k >= 0:
-            return math.prod([self] * k, start=PiScalar(1))
-        if not self.terms:
-            raise ZeroDivisionError("zero to a negative power")
         if len(self.terms) > 1:
-            raise ArithmeticError(f"{self} is not a single power of pi")
-        (e, c), = self.terms.items()
+            if k < 0:
+                raise ArithmeticError(f"{self} is not a single power of pi")
+            return math.prod([self] * k, start=PiScalar(1))
+        if k < 0 and not self.terms:
+            raise ZeroDivisionError("zero to a negative power")
+        (e, c), = self.terms.items() or [(0, Fraction(0))]
         return PiScalar(c**k, e * k)
 
     def __eq__(self, other):

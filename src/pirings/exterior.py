@@ -5,18 +5,19 @@ wedge norms and inner products come straight from Gram determinants.
 General elements carry sparse coordinates indexed by sorted tuples of
 basis indices (0-based).
 
-Every determinant is exact: exact.bareiss_det for Gram determinants and
-integer minors of the factors scaled to integers for coordinates, each
-rounded once to a float when an input number is a float.
+Every determinant is exact: exact.bareiss_det for Gram determinants, and
+for coordinates one Laplace recursion (laplace_step) over the factors
+scaled to integers, which the zonoid engine and the span checks (mod P31)
+share; a result is rounded once to a float on float input.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 import math
 import operator
 
-from .exact import (bareiss_det, exact_sqrt, int_det, integer_row, is_exact,
-                    rounded)
+from .exact import bareiss_det, exact_sqrt, integer_row, is_exact, rounded
 
 COORD_CAP = 10**6
 
@@ -25,15 +26,35 @@ def dot(a, b):
     return sum(map(operator.mul, a, b))
 
 
-def _minors(rows, n):
-    """The coordinates of the wedge of d integer rows of length n: their
-    d x d minors, keyed by the index sets in lexicographic order."""
-    d = len(rows)
-    if math.comb(n, d) > COORD_CAP:
-        raise ValueError(
-            f"binom({n},{d}) exceeds the coordinate cap of {COORD_CAP}")
-    return {idx: int_det([[f[i] for i in idx] for f in rows])
-            for idx in itertools.combinations(range(n), d)}
+@functools.cache
+def laplace_plan(n, r):
+    """Laplace expansion of r x r minors along the last row, as (sign,
+    cols, parents) for t = r - 1, ..., 0: over the r-subsets S of range(n)
+    in lexicographic order, cols lists s_t, parents the position of
+    S - {s_t} among the (r - 1)-subsets, and sign is (-1)^(r - 1 - t)."""
+    sets = list(itertools.combinations(range(n), r))
+    index = {s: i for i, s in
+             enumerate(itertools.combinations(range(n), r - 1))}
+    return tuple(((-1) ** (r - 1 - t), [s[t] for s in sets],
+                  [index[s[:t] + s[t + 1:]] for s in sets])
+                 for t in reversed(range(r)))
+
+
+def laplace_step(minors, row, r):
+    """The C(n, r) minors of r integer rows from the C(n, r - 1) minors of
+    the first r - 1 and the last row, n = len(row); lexicographic order."""
+    (_, cols, parents), *rest = laplace_plan(len(row), r)
+    out = [row[c] * minors[p] for c, p in zip(cols, parents)]
+    for sign, cols, parents in rest:
+        x = row if sign > 0 else [-y for y in row]
+        out = [o + x[c] * minors[p] for o, c, p in zip(out, cols, parents)]
+    return out
+
+
+def cofactors(minors, n):
+    """The signed cofactors c of n - 1 rows from their C(n, n - 1) minors:
+    dot(c, row) is the one minor of laplace_step(minors, row, n)."""
+    return [sign * minors[p] for sign, _, (p,) in reversed(laplace_plan(n, n))]
 
 
 class SimpleVector:
@@ -64,10 +85,9 @@ class SimpleVector:
 
 def wedge_inner(a, b):
     """<v_1^...^v_d, w_1^...^w_d> = det [<v_i, w_j>]."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if a.degree != b.degree:
-        raise ValueError("degree mismatch")
+    if (a.ambient_dim, a.degree) != (b.ambient_dim, b.degree):
+        raise ValueError(f"shape mismatch: (N, d) = {a.ambient_dim, a.degree}"
+                         f" and {b.ambient_dim, b.degree}")
     gram = [[dot(v, w) for w in b.factors] for v in a.factors]
     return bareiss_det(gram)
 
@@ -77,15 +97,9 @@ def wedge_norm(parts):
     parts = list(parts)
     if not parts:
         return 1
-    n = parts[0].ambient_dim
-    factors = []
-    for p in parts:
-        if p.ambient_dim != n:
-            raise ValueError("ambient dimension mismatch")
-        factors.extend(p.factors)
-    if len(factors) > n:
-        raise ValueError("total degree exceeds ambient dimension")
-    s = SimpleVector(n, factors)
+    if len(dims := {p.ambient_dim for p in parts}) > 1:
+        raise ValueError("ambient dimension mismatch")
+    s = SimpleVector(dims.pop(), [f for p in parts for f in p.factors])
     return exact_sqrt(wedge_inner(s, s))
 
 
@@ -97,17 +111,15 @@ class ExteriorElement:
     def __init__(self, ambient_dim, degree, coords=None):
         self.ambient_dim = ambient_dim
         self.degree = degree
-        self.coords = {}
-        if coords:
-            for idx, c in coords.items():
-                idx = tuple(sorted(idx))
-                if len(idx) != degree or len(set(idx)) != degree:
-                    raise ValueError("bad index set")
-                if any(i < 0 or i >= ambient_dim for i in idx):
-                    raise ValueError("index out of range")
-                if c != 0:
-                    self.coords[idx] = self.coords.get(idx, 0) + c
-        self.coords = {k: v for k, v in self.coords.items() if v != 0}
+        merged = {}
+        for idx, c in (coords or {}).items():
+            idx = tuple(sorted(idx))
+            if len(idx) != degree or len(set(idx)) != degree:
+                raise ValueError("bad index set")
+            if any(i < 0 or i >= ambient_dim for i in idx):
+                raise ValueError("index out of range")
+            merged[idx] = merged.get(idx, 0) + c
+        self.coords = {k: v for k, v in merged.items() if v != 0}
 
     def inner(self, other):
         if (self.ambient_dim, self.degree) != (other.ambient_dim, other.degree):
@@ -116,10 +128,8 @@ class ExteriorElement:
         return sum(self.coords[k] * other.coords[k] for k in keys)
 
     def scale(self, a):
-        return ExteriorElement(
-            self.ambient_dim, self.degree,
-            {k: a * v for k, v in self.coords.items()},
-        )
+        return ExteriorElement(self.ambient_dim, self.degree,
+                               {k: a * v for k, v in self.coords.items()})
 
     def __add__(self, other):
         if (self.ambient_dim, self.degree) != (other.ambient_dim, other.degree):
@@ -140,33 +150,31 @@ class ExteriorElement:
 
 
 def expand(s):
-    """Coordinates of a simple vector: the d x d minors of its factors,
-    each factor scaled to integers once and the product of the scales
-    divided back out; rounded once on float input."""
-    rows = [integer_row(f) for f in s.factors]
-    scale = math.prod(q for _, q in rows)
+    """Coordinates of a simple vector: the minors of its factors scaled to
+    integers, one laplace_step each, over the product of the scales and
+    rounded once on float input.  The cap bounds the widest step."""
+    n, d = s.ambient_dim, s.degree
+    if math.comb(n, r := min(d, n // 2)) > COORD_CAP:
+        raise ValueError(
+            f"binom({n},{r}) exceeds the coordinate cap of {COORD_CAP}")
+    minors, scale = [1], 1
+    for r, f in enumerate(s.factors, 1):
+        ints, q = integer_row(f)
+        minors, scale = laplace_step(minors, ints, r), scale * q
     inexact = not all(is_exact(x) for f in s.factors for x in f)
-    minors = _minors([ints for ints, _ in rows], s.ambient_dim)
-    return ExteriorElement(s.ambient_dim, s.degree, {
+    return ExteriorElement(n, d, {
         idx: rounded(Fraction(m, scale), inexact)
-        for idx, m in minors.items() if m})
+        for idx, m in zip(itertools.combinations(range(n), d), minors) if m})
 
 
 def _merge_sign(i_tuple, j_tuple):
-    """Sign of sorting the concatenation of two disjoint sorted tuples.
-
-    Returns (sign, merged tuple), or (0, None) on a repeated index.
-    """
+    """(sign, merged tuple) of sorting the concatenation of two disjoint
+    sorted tuples, the sign (-1)^(inversions between the blocks); (0, None)
+    on a repeated index."""
     if set(i_tuple) & set(j_tuple):
         return 0, None
-    merged = i_tuple + j_tuple
-    # count inversions between the two blocks
-    inv = 0
-    for a in i_tuple:
-        for b in j_tuple:
-            if a > b:
-                inv += 1
-    return (-1) ** inv, tuple(sorted(merged))
+    inv = sum(a > b for a in i_tuple for b in j_tuple)
+    return (-1) ** inv, tuple(sorted(i_tuple + j_tuple))
 
 
 def wedge_elements(x, y):

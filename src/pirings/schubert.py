@@ -11,7 +11,7 @@ import itertools
 import math
 
 from .exact import P31, bareiss_solve, pivot_rows_mod_p
-from .exterior import SimpleVector, wedge_inner
+from .exterior import SimpleVector, laplace_plan, wedge_inner
 from .sampling import (
     Estimate,
     FixedSampler,
@@ -280,20 +280,16 @@ def _plucker_residues(vectors):
     shape with integer factors: a (samples, C(N, d)) int64 array over the
     index sets in lexicographic order.  The minors of the first r factors
     come from those of the first r - 1 by Laplace expansion along factor
-    r, over all samples at once, with every product of residues reduced."""
+    r (exterior.laplace_plan), over all samples at once, with every
+    product of residues reduced."""
     import numpy as np
     n, d = vectors[0].ambient_dim, vectors[0].degree
     factors = np.array([v.factors for v in vectors], dtype=object)
     factors = (factors.reshape(len(vectors), d, n) % P31).astype(np.int64)
     minors = np.ones((len(vectors), 1), dtype=np.int64)
-    index = {(): 0}
     for r in range(1, d + 1):
-        sets = list(itertools.combinations(range(n), r))
-        minors = sum((-1) ** (r - 1 + t)
-                     * (factors[:, r - 1, [s[t] for s in sets]]
-                        * minors[:, [index[s[:t] + s[t + 1:]] for s in sets]]
-                        % P31) for t in range(r)) % P31
-        index = {s: i for i, s in enumerate(sets)}
+        minors = sum(s * (factors[:, r - 1, cols] * minors[:, parents] % P31)
+                     for s, cols, parents in laplace_plan(n, r)) % P31
     return minors
 
 
@@ -310,7 +306,9 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     the Schur or LR dimension, so a match proves both.  A coordinate of at
     most k m boxes has degree at most k m (k + m) < (2B + 1) / 8 in the
     skew entries, so by Schwartz-Zippel N draws whose span has dimension r
-    fall short of rank r with probability at most C(N, r-1) 8^(r-1-N).
+    fall short of rank r with probability at most C(N, r-1) 8^(r-1-N);
+    as a rank over N draws is at most N, a budget N below the largest
+    expected dimension r is refused before anything is drawn.
     The prime only adds the chance that a nonzero minor of the true rank
     vanishes mod P31: a rank that reads short, a visible failure and never
     a false pass.
@@ -322,13 +320,20 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     diagrams = [YoungDiagram(p) for p in _partitions(d, k, m)]
+    wedges = {(a, b): sum(span_dim(nu, k, m) for nu in lr_set(a, b, k, m))
+              for a, b in itertools.combinations_with_replacement(diagrams, 2)
+              if a.size + b.size <= k * m}
+    need = max([*wedges.values(), *(span_dim(lam, k, m) for lam in diagrams)])
     report = {"k": k, "m": m, "d": d, "orbits": {}, "wedges": {}, "ok": True}
     # every draw uses the one key seed, on its own slot
     slots = itertools.count()
 
     def draw(lam):
-        return rational_schubert(lam.parts, k, m,
-                                 substream(seed, next(slots)), samples)
+        rng = substream(seed, next(slots))  # a bad seed is reported first
+        if samples < need:
+            raise ValueError(f"samples must be at least {need}, the largest "
+                             f"expected rank (--spans-samples), got {samples}")
+        return rational_schubert(lam.parts, k, m, rng, samples)
 
     def record(group, key, rank, expected):
         report[group][key] = {
@@ -351,13 +356,11 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     report["orthogonal"] = report["max_cross_inner"] == 0
     report["ok"] &= report["orthogonal"]
     # wedge spans: rank of sampled V_lam ^ V_mu should match the LR sum
-    for a, b in itertools.combinations_with_replacement(diagrams, 2):
-        if a.size + b.size <= k * m:
-            rank = len(pivot_rows_mod_p(_plucker_residues(
-                [SimpleVector(k * m, va.factors + vb.factors)
-                 for va, vb in zip(draw(a), draw(b))])))
-            record("wedges", f"{a.parts}^{b.parts}", rank,
-                   sum(span_dim(nu, k, m) for nu in lr_set(a, b, k, m)))
+    for (a, b), expected in wedges.items():
+        rank = len(pivot_rows_mod_p(_plucker_residues(
+            [SimpleVector(k * m, va.factors + vb.factors)
+             for va, vb in zip(draw(a), draw(b))])))
+        record("wedges", f"{a.parts}^{b.parts}", rank, expected)
     return report
 
 

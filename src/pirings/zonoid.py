@@ -14,24 +14,27 @@ the exact result is rounded once to a float at the end.
 A power K^(wedge m) of a body of positive degree is m! times the sum
 over m-subsets of its atoms, because a repeated atom wedges to zero and
 the m! orderings of a subset give the same segment (Shephard 1974,
-McMullen 1971).  So a product K_1^(m_1) ^ ... ^ K_r^(m_r) costs
-prod_k C(#atoms of K_k, m_k) integer determinants.
+McMullen 1971).  The terms of K_1^(m_1) ^ ... ^ K_r^(m_r) are the leaves
+of a tree walked depth first, each row extending the minors of the rows
+before it by one exterior.laplace_step; pairings and Crofton values are
+dot products of these Pluecker vectors (Cauchy-Binet).
 """
 
 from fractions import Fraction
 import functools
-import itertools
 import json
 import math
 
-from .exact import exact_sqrt, int_det, integer_row, is_exact, rounded
+from .exact import exact_sqrt, integer_row, is_exact, rounded
 from .exterior import (
     ExteriorElement,
     SimpleVector,
+    cofactors,
     dot,
     expand,
     factorize_simple,
     hodge_star,
+    laplace_step,
     wedge_elements,
 )
 from .sphere_ring import ball_wedge_length, kappa
@@ -93,43 +96,25 @@ def support(z, u):
 
 
 def length(z):
-    """First intrinsic volume sum: sum of w_i ||v_i||.  Center is ignored.
-
-    A single body is a product of one factor, so this is the product
-    engine's length on the canonical atoms.
-    """
+    """First intrinsic volume sum: sum of w_i ||v_i||, the product engine's
+    length of one factor on the canonical atoms.  Center is ignored."""
     return _wedge_length([z])
 
 
 def pairing(a, b):
-    """<K, K'> = sum over atom pairs of w w' |<v, v'>| (centered parts only).
-
-    <v_1^...^v_d, u_1^...^u_d> = det(<v_i, u_j>), taken on the canonical
-    atoms of both bodies.
-    """
+    """<K, K'> = sum over atom pairs of w w' |<v, v'>| (centered parts only),
+    on the canonical atoms, where <v, v'> = det(<v_i, v'_j>) is the dot
+    product of their Pluecker vectors (Cauchy-Binet)."""
     if (a.ambient_dim, a.degree) != (b.ambient_dim, b.degree):
         raise ValueError("degree mismatch")
     a_inexact, a_den, a_atoms = _canonical(a)
     b_inexact, b_den, b_atoms = _canonical(b)
-    d = a.degree
-    b_rows = [y for _, rb in b_atoms for y in rb]
-    b_terms = [(wb, range(i * d, i * d + d))
-               for i, (wb, _) in enumerate(b_atoms)]
-    return rounded(_pair(a_atoms, b_rows, b_terms)
-                   * Fraction(1, a_den * b_den), a_inexact or b_inexact)
-
-
-def _pair(a_atoms, b_rows, b_terms):
-    """The sum of W W' |det(<x_i, y_j>)| over an atom (W, rows x) of a_atoms
-    and a term (W', cols) of b_terms, with y = b_rows[cols].  The dot
-    products of an atom's rows with b_rows are taken once, and each term
-    reads its (transposed) block from that table."""
-    total = 0
-    for wa, ra in a_atoms:
-        table = [[dot(x, y) for x in ra] for y in b_rows]
-        total += wa * sum((wb * abs(int_det([table[j] for j in cols]))
-                           for wb, cols in b_terms), start=0)
-    return total
+    b_terms = _walk([(b_atoms, 1)], b.ambient_dim)
+    total = sum((wa * wb * abs(dot(pa, pb))
+                 for wa, _, pa in _walk([(a_atoms, 1)], a.ambient_dim)
+                 for wb, _, pb in b_terms), start=0)
+    return rounded(total * Fraction(1, a_den * b_den),
+                   a_inexact or b_inexact)
 
 
 def _primitive(f):
@@ -190,10 +175,11 @@ def _grouped(zs):
     if sum(z.degree for z in zs) > n:
         raise ValueError("degree overflow")
     inexact, groups, index = False, [], {}
+    canonical = functools.cache(_canonical)  # a repeated body is read once
     for z in zs:
         if z.ambient_dim != n:
             raise ValueError("ambient dimension mismatch")
-        z_inexact, den, atoms = _canonical(z)
+        z_inexact, den, atoms = canonical(z)
         inexact = inexact or z_inexact
         key = (z.degree, den, atoms)
         if z.degree and key in index:
@@ -206,54 +192,57 @@ def _grouped(zs):
     return inexact, scale, [(atoms, m) for (*_, atoms), m in groups]
 
 
-def _terms(groups):
-    """(W, rows) for every choice of an m-subset of each group's atoms."""
-    for pick in itertools.product(*(itertools.combinations(atoms, m)
-                                    for atoms, m in groups)):
-        w, rows = 1, ()
-        for subset in pick:
-            for a, r in subset:
-                w *= a
-                rows += r
-        yield w, rows
+def _walk(groups, n):
+    """(W, rows, minors) of each choice of an m-subset of each group's
+    atoms whose wedge is nonzero, in lexicographic order: W the product of
+    the weights, minors the Pluecker coordinates of the rows, each row
+    extending those before it by one Laplace step (a one-row pick that
+    fills R^n by a dot product with their cofactors)."""
+    levels = [(atoms, left) for atoms, m in groups
+              for left in range(m, 0, -1)]
+    if not levels:
+        return [(1, (), (1,))]
+    out = []
 
+    def visit(level, start, w, rows, minors):
+        atoms, left = levels[level]
+        cof = cofactors(minors, n) if len(rows) + 1 == n else None
+        for i in range(start, len(atoms) - left + 1):
+            a, arows = atoms[i]
+            if cof is not None and len(arows) == 1:
+                m = (dot(cof, arows[0]),)
+            else:
+                m = minors
+                for r, row in enumerate(arows, len(rows) + 1):
+                    m = laplace_step(m, row, r)
+            if level + 1 < len(levels) and any(m):
+                visit(level + 1, i + 1 if left > 1 else 0, w * a,
+                      rows + arows, m)
+            elif any(m):
+                out.append((w * a, rows + arows, tuple(m)))
 
-def _norm(rows, n):
-    """|rows[0] ^ ... ^ rows[-1]|: |det| for n rows, else the Gram root."""
-    if len(rows) == n:
-        return abs(int_det(rows))
-    return exact_sqrt(int_det([[dot(x, y) for y in rows] for x in rows]))
-
-
-def _products(zs):
-    """(inexact, scale, terms) of the product of zs, terms as
-    (W, rows, norm): each stands for the atom scale * W [rows], and the
-    terms of norm 0 are left out."""
-    if not zs:
-        raise ValueError("empty product")
-    inexact, scale, groups = _grouped(zs)
-    n = zs[0].ambient_dim
-    terms = []
-    for w, rows in _terms(groups):
-        norm = _norm(rows, n)
-        if norm:
-            terms.append((w, rows, norm))
-    return inexact, scale, terms
+    visit(0, 0, 1, (), (1,))
+    return out
 
 
 def _wedge_length(zs, factor=1):
-    """factor * length(wedge(zs)), rounded once on float input.  A sum with
-    an irrational (float) norm is taken in floats, or exactly on the norms'
-    binary values when a weight or the scale is beyond the float range."""
-    inexact, scale, terms = _products(zs)
+    """factor * length(wedge(zs)), rounded once on float input, a term's
+    norm the root of its sum of squared minors.  A sum with an irrational
+    (float) norm is taken in floats, or exactly on the norms' binary
+    values when a weight or the scale is beyond the float range."""
+    inexact, scale, groups = _grouped(zs)
+    n = zs[0].ambient_dim
+    full = sum(z.degree for z in zs) == n  # a term's one minor is its det
+    terms = [(w, abs(m[0]) if full else exact_sqrt(dot(m, m)))
+             for w, _, m in _walk(groups, n)]
     try:
-        total = sum((w * norm for w, _, norm in terms), start=0)
+        total = sum((w * norm for w, norm in terms), start=0)
         if not isinstance(total, float) or (
                 math.isfinite(total) and float(scale) >= 2.0 ** -1022):
             return rounded(factor * (scale * total), inexact)
     except OverflowError:
         pass
-    total = sum(w * Fraction(norm) for w, _, norm in terms)
+    total = sum(w * Fraction(norm) for w, norm in terms)
     return rounded(factor * scale * total, True)
 
 
@@ -266,10 +255,12 @@ def wedge(zs, factor=1):
     right (a zonoid with center c has mean segment expectation 2c).
     """
     zs = list(zs)
-    inexact, scale, terms = _products(zs)
+    if not zs:
+        raise ValueError("empty product")
+    inexact, scale, groups = _grouped(zs)
     n = zs[0].ambient_dim
     atoms = [(rounded(factor * scale * w, inexact), SimpleVector(n, rows))
-             for w, rows, _ in terms]
+             for w, rows, _ in _walk(groups, n)]
     center = None
     if all(z.center is not None for z in zs):
         center = functools.reduce(wedge_elements, [z.center for z in zs])
@@ -321,23 +312,19 @@ def exp_truncated(L, max_degree):
 
 def crofton_evaluate(L, K):
     """Crofton valuation of L at a degree-1 zonoid K: (1/d!) <L, K^(wedge d)>,
-    the pairing of the canonical atoms of L with the engine's terms of
-    K^(wedge d), the d-subsets of K's canonical atoms: all of them, as a
-    term of norm 0 pairs to 0.  Each atom of L takes its dot products with
-    K's rows once, not once per term.
-    """
+    the dot products of the Pluecker vectors of the canonical atoms of L
+    with those of the engine's terms of K^(wedge d), each expanded once."""
     if K.degree != 1:
         raise ValueError("K must have degree 1")
     if L.ambient_dim != K.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    k_inexact, scale, groups = _grouped([K] * L.degree)
+    n, d = L.ambient_dim, L.degree
+    k_inexact, scale, groups = _grouped([K] * d)
     l_inexact, l_den, l_atoms = _canonical(L)
-    # K^(wedge d) is one group of K's one-row atoms, or none at d = 0
-    k_atoms, d = groups[0] if groups else ((), 0)
-    rows = [r for _, (r,) in k_atoms]
-    terms = [(math.prod(k_atoms[i][0] for i in cols), cols)
-             for cols in itertools.combinations(range(len(rows)), d)]
-    value = scale * _pair(l_atoms, rows, terms)
+    l_terms = _walk([(l_atoms, 1)], n)
+    value = scale * sum((w * wl * abs(dot(minors, pl))
+                         for w, _, minors in _walk(groups, n)
+                         for wl, _, pl in l_terms), start=0)
     # the d! orderings in the scale cancel the 1/d! of the valuation; at
     # d = 0 the scale is the int 1, and a sum of int weights stays an int
     den = l_den * math.factorial(d)

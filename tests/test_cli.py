@@ -428,6 +428,20 @@ def test_bad_spans_sample_count(capsys, count):
     assert err.startswith("error: samples must be at least 1")
 
 
+def test_spans_budget_below_the_largest_rank(capsys):
+    # (3,)^(3,) at (2,5,3) expects rank 210, and 200 draws span at most 200
+    code, err = run_err(capsys, "schubert", "spans", "--k", "2", "--m", "5",
+                        "--d", "3", "--seed", "1")
+    assert (code, err) == (1, "error: samples must be at least 210, the "
+                              "largest expected rank (--spans-samples), got "
+                              "200\n")
+    data = run_json(capsys, "schubert", "spans", "--k", "2", "--m", "5",
+                    "--d", "3", "--seed", "1", "--spans-samples", "260")
+    assert data["wedges"]["(3,)^(3,)"] == {
+        "rank": 210, "expected": 210, "match": True}
+    assert data["ok"] is True
+
+
 @pytest.mark.parametrize("k, m, d, message", [
     (2, 2, 9, "d must be in [0, k*m] = [0, 4], got 9"),
     (2, 2, -1, "d must be in [0, k*m] = [0, 4], got -1"),

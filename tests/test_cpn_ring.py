@@ -278,6 +278,10 @@ class TestParse:
             want = want + elem.scale(c)
         assert RingElement.parse(n, text) == want
 
+    def test_huge_power_is_zero_at_once(self):
+        # beta^k carries pi^(2k/3), one PiScalar power, not k products
+        assert RingElement.parse(2, "beta^1000000").is_zero()
+
     def test_monomial_is_product_of_powers(self):
         # reduction is a ring homomorphism on raw monomials
         for n in range(7):

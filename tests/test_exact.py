@@ -380,6 +380,21 @@ class TestPiScalar:
             PiScalar(1) / PiScalar(0)
         assert two_terms ** 2 == PiScalar(1) + PiScalar(2, 1) + PiScalar(1, 2)
 
+    @pytest.mark.parametrize("base", [
+        PiScalar(0), PiScalar(Fraction(-2, 3)), PiScalar(Fraction(3, 2), 1),
+        PiScalar(1) + PiScalar(2, Fraction(2, 3))])
+    def test_power_is_repeated_product(self, base):
+        for k in range(7):
+            assert base ** k == math.prod([base] * k, start=PiScalar(1))
+
+    def test_single_term_power_is_immediate(self):
+        # one step, not a million PiScalar products
+        assert PiScalar(2, Fraction(2, 3)) ** 1000000 == PiScalar(
+            Fraction(2) ** 1000000, Fraction(2000000, 3))
+        assert PiScalar(0) ** 1000000 == 0
+        with pytest.raises(ZeroDivisionError):
+            PiScalar(0) ** -1
+
     def test_float_operands_give_floats(self):
         a = PiScalar(3, 1) + Fraction(1, 2)
         assert a * 0.5 == float(a) * 0.5

@@ -8,7 +8,7 @@ import pytest
 
 from pirings import exterior as ex
 from pirings import schubert
-from pirings.exact import pivot_rows_mod_p
+from pirings.exact import int_det, pivot_rows_mod_p
 from pirings.exterior import ExteriorElement, SimpleVector
 from pirings.sampling import substream
 from pirings.schubert import rational_schubert
@@ -123,6 +123,35 @@ class TestExpand:
     def test_coordinate_cap(self):
         with pytest.raises(ValueError):
             ex.expand(SimpleVector(50, [[0.0] * 50] * 25))
+
+
+class TestLaplaceStep:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.lists(
+            st.integers(-10**6, 10**6) | st.just(0), min_size=n, max_size=n),
+            max_size=n))), st.data())
+    def test_minors_match_int_det(self, shape, data):
+        n, rows = shape
+        # zero rows and repeats of earlier rows
+        for i in range(len(rows)):
+            pick = data.draw(st.sampled_from(["keep", "zero", "repeat"]))
+            if pick == "zero":
+                rows[i] = [0] * n
+            elif pick == "repeat" and i:
+                rows[i] = rows[data.draw(st.integers(0, i - 1))]
+        minors = [1]
+        for r, row in enumerate(rows, 1):
+            minors = ex.laplace_step(minors, row, r)
+        sets = list(itertools.combinations(range(n), len(rows)))
+        assert minors == [int_det([[f[i] for i in s] for f in rows])
+                          for s in sets]
+        assert ex.expand(SimpleVector(n, rows)).coords == {
+            s: m for s, m in zip(sets, minors) if m}
+        if len(rows) == n - 1:
+            for row in ([1] * n, rows[-1] if rows else [0] * n):
+                assert ex.laplace_step(minors, row, n) == [
+                    ex.dot(ex.cofactors(minors, n), row)]
 
 
 class TestHodgeStar:

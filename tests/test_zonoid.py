@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from pirings import zonoid as zn
+from pirings.exact import int_det
 from pirings.exterior import (ExteriorElement, SimpleVector, expand,
                               hodge_star, wedge_inner, wedge_norm)
 
@@ -477,6 +479,64 @@ class TestEngineAgainstOrderedOracle:
                        for w, rows in ordered_products(floats))
         got = zn.mixed_volume(floats)
         assert abs(got - zn.mixed_volume(exact)) <= 1e-12 * hadamard
+
+
+def oracle_integer_volume(bodies):
+    """oracle_mixed_volume on integer rows, with |det|, which does not
+    depend on the order of the rows, taken once per multiset of rows."""
+    @functools.cache
+    def abs_det(rows):
+        return abs(int_det(rows))
+
+    return sum((w * abs_det(tuple(sorted(map(tuple, rows))))
+                for w, rows in ordered_products(bodies)),
+               start=Fraction(0)) / math.factorial(len(bodies))
+
+
+@st.composite
+def integer_bodies(draw, n, max_atoms):
+    """n degree-1 bodies in R^n in a repeat pattern such as [K, K, L],
+    each with up to max_atoms integer generators, some of them zero or
+    (negative) multiples of others, and weights of either sign."""
+    def body(min_atoms):
+        rows = []
+        for _ in range(draw(st.integers(min_atoms, max_atoms))):
+            kind = draw(st.sampled_from(("new", "new", "parallel", "zero")))
+            if kind == "parallel" and rows:
+                c = draw(st.sampled_from((-2, -1, 2, 3)))
+                rows.append([c * x for x in draw(st.sampled_from(rows))])
+            elif kind == "zero":
+                rows.append([0] * n)
+            else:
+                rows.append(draw(st.lists(st.integers(-3, 3), min_size=n,
+                                          max_size=n)))
+        return zn.VirtualZonoid(n, 1, [(draw(WEIGHTS), SimpleVector(n, [r]))
+                                       for r in rows])
+
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    distinct = {lab: body(labels.count(lab)) for lab in labels}
+    return [distinct[lab] for lab in labels]
+
+
+class TestDeepTreesAgainstOrderedOracle:
+    # depth 4 and 5 trees: each term's last row is a dot product with its
+    # prefix's cofactors, and Crofton terms are Pluecker dot products
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from((4, 5)).flatmap(lambda n: integer_bodies(n, 8)))
+    def test_full_degree(self, bodies):
+        got = zn.mixed_volume(bodies)
+        assert isinstance(got, Fraction)
+        assert got == oracle_integer_volume(bodies)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_crofton_in_r5(self, data):
+        d = data.draw(st.sampled_from((2, 3)))
+        L = data.draw(valuations(5, d))
+        K = data.draw(zonotopes(5, min_atoms=d, max_atoms=5))
+        got = zn.crofton_evaluate(L, K)
+        assert isinstance(got, Fraction)
+        assert got == oracle_crofton(L, K)
 
 
 class TestMixedVolumeProperties:

@@ -137,17 +137,34 @@ def cmd_cpn(args):
         return out
 
 
-def _diagram(text):
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
+def _read(flag, text, read, what="comma-separated integers"):
+    """read of each comma-separated item of text, or an error naming the
+    flag, what it takes and the text."""
+    try:
+        return [read(x) for x in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be {what}, got {text!r}") from None
+
+
+def _diagram(flag, text):
+    """A diagram's comma-separated parts; blank text is the empty diagram."""
+    return tuple(_read(flag, text, int)) if text.strip() else ()
+
+
+def _ratio(x):
+    """p/q is an exact ratio; a finite decimal stays a float."""
+    if "/" in x:
+        return Fraction(x)
+    if math.isfinite(v := float(x)):
+        return v
+    raise ValueError(x)
 
 
 def cmd_schubert(args):
     k, m = args.k, args.m
     if args.action == "lr":
-        table = schubert.lr_coefficients(_diagram(args.a), _diagram(args.b))
+        table = schubert.lr_coefficients(_diagram("--a", args.a),
+                                         _diagram("--b", args.b))
         return {"a": args.a, "b": args.b,
                 "coefficients": {str(nu.parts): c for nu, c in
                                  sorted(table.items(), key=lambda x: x[0].parts)}}
@@ -155,7 +172,7 @@ def cmd_schubert(args):
         return schubert.verify_span_decomposition(
             k, m, args.d, samples=args.spans_samples, seed=args.seed)
     if args.action == "shape":
-        lams = [_diagram(t) for t in args.diagrams.split("|")]
+        lams = [_diagram("--diagrams", t) for t in args.diagrams.split("|")]
         est = schubert.mc_schubert_shape(
             lams, k, m, args.samples, args.seed, args.workers)
         return {"k": k, "m": m, "diagrams": args.diagrams,
@@ -217,10 +234,9 @@ def cmd_sphere(args):
             })
         return {"N": n, "rows": rows}
     if args.action == "expected-count":
-        codims = [int(x) for x in args.codims.split(",")]
-        # p/q is an exact ratio; a decimal stays a float
-        ratios = [Fraction(x) if "/" in x else float(x)
-                  for x in args.ratios.split(",")]
+        codims = _read("--codims", args.codims, int)
+        ratios = _read("--ratios", args.ratios, _ratio,
+                       "comma-separated finite numbers, p/q or decimal")
         val = sphere_ring.sphere_expected_count(args.n, codims, ratios)
         return {"n": args.n, "codims": codims,
                 "ratios": [_num(r) for r in ratios],

@@ -482,19 +482,12 @@ def omega_norm_sq(n, k):
     return sum(c * c for c in e.coords.values())
 
 
-def primitive_dims(n, d):
-    """Dimension of the primitive degree-d piece: 1 for even d, 0 for odd."""
-    if not 0 <= d <= n:
-        raise ValueError("d out of range")
-    return 1 if d % 2 == 0 else 0
-
-
 __all__ = [
     "RingElement", "class_codim2", "codim2_coeffs", "dimension",
     "f_k", "hankel_matrix", "intersection_number", "j_set", "length",
     "length_by_degree", "mc_tasaki_kernel_d2", "monomial_length",
     "monomial_length_st", "multiply", "omega_element", "omega_norm_sq",
-    "primitive_dims", "reduce_monomial", "relation_beta_gamma", "relation_st",
+    "reduce_monomial", "relation_beta_gamma", "relation_st",
     "relations", "self_intersection_codim2", "self_intersection_via_ring",
     "tasaki_kernel_d2", "evaluate_relation_st",
 ]

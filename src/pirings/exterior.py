@@ -195,21 +195,19 @@ def wedge_elements(x, y):
     return ExteriorElement(n, d, coords)
 
 
-def hodge_star(x, orientation=1):
-    """Hodge star with respect to the volume form orientation * e_1^...^e_N.
+def hodge_star(x):
+    """Hodge star with respect to the volume form e_1^...^e_N.
 
     Defined by <a, b> = <vol, a ^ star(b)>; on basis elements this sends
     e_I to sgn(I, I^c) e_{I^c}.
     """
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
     n = x.ambient_dim
     full = set(range(n))
     coords = {}
     for idx, c in x.coords.items():
         comp = tuple(sorted(full - set(idx)))
         sgn, _ = _merge_sign(idx, comp)
-        coords[comp] = orientation * sgn * c
+        coords[comp] = sgn * c
     return ExteriorElement(n, n - x.degree, coords)
 
 

@@ -135,23 +135,22 @@ def _check_cols(n, cols):
     return cols
 
 
-def haar_orthogonal(n, rng, size=None, cols=None):
+def haar_orthogonal(n, rng, size, cols=None):
     """The first `cols` columns (default all n) of Haar orthogonal matrices.
 
-    Returns a (size, n, cols) array, or (n, cols) when size is None; it
-    is the transposed view of a batch-last (cols, n, size) array, which
-    .T gives back.  Only the n * cols Gaussians that those columns read
-    are drawn, in that batch-last order.  Gram-Schmidt of the Gaussian
-    columns is the Q factor of QR with the signs of diag(R) made
-    positive, which is Haar distributed (Mezzadri 2007), and its first
-    cols columns depend only on the first cols Gaussian columns.
+    Returns a (size, n, cols) array, the transposed view of a batch-last
+    (cols, n, size) array, which .T gives back.  Only the n * cols
+    Gaussians that those columns read are drawn, in that batch-last
+    order.  Gram-Schmidt of the Gaussian columns is the Q factor of QR
+    with the signs of diag(R) made positive, which is Haar distributed
+    (Mezzadri 2007), and its first cols columns depend only on the first
+    cols Gaussian columns.
     """
     cols = _check_cols(n, cols)
-    shape = (cols, n) if size is None else (cols, n, size)
-    return _gram_schmidt(rng.standard_normal(shape))[0].T
+    return _gram_schmidt(rng.standard_normal((cols, n, size)))[0].T
 
 
-def haar_unitary_realified(n, rng, size=None, cols=None):
+def haar_unitary_realified(n, rng, size, cols=None):
     """Realified first `cols` columns (default all n) of Haar unitaries.
 
     U acts on C^n = R^(2n) with interleaved real and imaginary parts, so
@@ -164,9 +163,8 @@ def haar_unitary_realified(n, rng, size=None, cols=None):
     """
     import numpy as np
     cols = _check_cols(n, cols)
-    shape = (cols, 2 * n) if size is None else (cols, 2 * n, size)
-    v = np.empty((2 * cols,) + shape[1:])
-    v[0::2] = rng.standard_normal(shape)
+    v = np.empty((2 * cols, 2 * n, size))
+    v[0::2] = rng.standard_normal((cols, 2 * n, size))
     return _gram_schmidt(v, pairs=True)[0].T
 
 

@@ -6,7 +6,6 @@ calibrated expected-degree pipeline for lines in projective 3-space
 (the Grassmannian G(2,4) case, k = m = 2).
 """
 
-from fractions import Fraction
 import itertools
 import math
 
@@ -92,29 +91,6 @@ def dual(lam, k, m):
     if not lam.fits(k, m):
         raise ValueError("diagram does not fit the rectangle")
     return YoungDiagram([m - lam[k - 1 - i] for i in range(k)])
-
-
-def outer_corners(lam):
-    """Corners (row, column count) where a box can be removed, 1-based rows."""
-    lam = as_diagram(lam)
-    out = []
-    for i, p in enumerate(lam.parts):
-        if p > lam[i + 1]:
-            out.append((i + 1, p))
-    return out
-
-
-def v_lambda(lam, k, m):
-    """The coordinate Schubert simple vector: wedge of e_i (x) f_j over boxes."""
-    lam = as_diagram(lam)
-    if not lam.fits(k, m):
-        raise ValueError("diagram does not fit the rectangle")
-    factors = []
-    for i, j in lam.boxes():
-        vec = [Fraction(0)] * (k * m)
-        vec[i * m + j] = Fraction(1)
-        factors.append(vec)
-    return SimpleVector(k * m, factors)
 
 
 def _lr_fillings(outer, inner, content):
@@ -219,23 +195,6 @@ def span_dim(lam, k, m):
     return schur_dim(lam, k) * schur_dim(transpose(lam), m)
 
 
-def duality_nonvanishing(lam, mu, k, m):
-    """Whether complementary Schubert classes pair nontrivially.
-
-    True exactly when mu is the dual (rotated complement) of lam;
-    cross-checked against the LR rule producing the full rectangle.
-    """
-    lam, mu = as_diagram(lam), as_diagram(mu)
-    if lam.size + mu.size != k * m:
-        raise ValueError("diagrams are not complementary in size")
-    is_dual = mu == dual(lam, k, m)
-    rect = YoungDiagram([m] * k)
-    via_lr = rect in lr_set(lam, mu, k, m)
-    if is_dual != via_lr:
-        raise AssertionError("duality criteria disagree")
-    return is_dual
-
-
 def mc_schubert_shape(lams, k, m, samples, seed, workers=1):
     """Monte-Carlo mean of ||h_1 v_1 ^ ... ^ h_s v_s|| over independent rotations.
 
@@ -318,7 +277,8 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     if not 0 <= d <= k * m:
         raise ValueError(f"d must be in [0, k*m] = [0, {k * m}], got {d}")
     if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+        raise ValueError(
+            f"samples must be at least 1 (--spans-samples), got {samples}")
     diagrams = [YoungDiagram(p) for p in _partitions(d, k, m)]
     wedges = {(a, b): sum(span_dim(nu, k, m) for nu in lr_set(a, b, k, m))
               for a, b in itertools.combinations_with_replacement(diagrams, 2)
@@ -399,11 +359,3 @@ def edeg22_calibrated(samples, seed, workers=1):
     scale = math.pi ** 6 / 128
     return Estimate(scale * e4.mean, scale * e4.std_error, samples, seed,
                     scale * e4.max_value, components={"E4": e4})
-
-
-def asymptotic_edeg2(m):
-    """Leading-term asymptotic of the expected degree of G(2, m+2)."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return (2.0 / 3.0) / math.sqrt(math.pi) * (math.pi ** 2 / 4.0) ** m \
-        / math.sqrt(m)

@@ -64,8 +64,9 @@ def sphere_expected_count(n, codims, vol_ratios):
         raise ValueError("codims and vol_ratios must have equal length")
     if sum(codims) != n:
         raise ValueError("codimensions must sum to n")
-    if any(v < 0 for v in vol_ratios):
-        raise ValueError("volume ratios must be nonnegative")
+    if not all(0 <= v < math.inf for v in vol_ratios):
+        raise ValueError(f"volume ratios must be finite and nonnegative, "
+                         f"got {vol_ratios}")
     factor = sphere_volume(n) * ball_wedge_length(n, 0, n, 1)
     for d in codims:
         factor = factor / ball_wedge_length(n, 0, d, 1)

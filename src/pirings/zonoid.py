@@ -337,7 +337,7 @@ def crofton_evaluate_graded(parts, K):
     return sum(crofton_evaluate(p, K) for p in parts)
 
 
-def hodge_dual(z, orientation=1):
+def hodge_dual(z):
     """Hodge dual: canonical atoms (those of nonzero wedge) and center
     mapped through the star isometry; exact rows, and float weights on
     float input."""
@@ -346,7 +346,7 @@ def hodge_dual(z, orientation=1):
     atoms = []
     for w, rows in canon:
         w *= Fraction(1, den)
-        star = hodge_star(expand(SimpleVector(n, rows)), orientation)
+        star = hodge_star(expand(SimpleVector(n, rows)))
         if star.is_zero():
             continue
         if star.degree == 0:
@@ -355,11 +355,11 @@ def hodge_dual(z, orientation=1):
                           SimpleVector(n, ())))
         else:
             atoms.append((rounded(w, inexact), factorize_simple(star)))
-    center = None if z.center is None else hodge_star(z.center, orientation)
+    center = None if z.center is None else hodge_star(z.center)
     return VirtualZonoid(n, n - z.degree, atoms, center)
 
 
-def star_exp(L, orientation=1):
+def star_exp(L):
     """Graded parts of star(e^L); evaluating them via crofton gives vol(. + L).
     The parts of e^L are dualised at the exact value of L (its canonical
     atoms), and each weight is rounded once on float input."""
@@ -367,7 +367,7 @@ def star_exp(L, orientation=1):
     inexact, den, atoms = _canonical(L)
     exact = VirtualZonoid(n, L.degree, [(Fraction(w, den), SimpleVector(n, rows))
                                         for w, rows in atoms], L.center)
-    duals = (hodge_dual(p, orientation) for p in exp_truncated(exact, n))
+    duals = (hodge_dual(p) for p in exp_truncated(exact, n))
     return [VirtualZonoid(n, p.degree, [(rounded(w, inexact), v)
                                         for w, v in p.atoms], p.center)
             for p in reversed(list(duals))]

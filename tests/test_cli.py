@@ -387,6 +387,9 @@ def test_bad_sample_or_worker_count(capsys, argv):
     assert "must be at least 1" in err
 
 
+_RATIOS = "comma-separated finite numbers, p/q or decimal"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("cpn", "tasaki", "--n", "2", "--mc", "--samples", "10", "--z", "nan"),
      "--z must be finite and > 0, got nan"),
@@ -411,11 +414,29 @@ def test_bad_sample_or_worker_count(capsys, argv):
      "need 1 <= --i <= --N, got --N 3 and --i -1"),
     (("sphere", "ball-mc", "--N", "3", "--i", "0"),
      "need 1 <= --i <= --N, got --N 3 and --i 0"),
+    (("sphere", "expected-count", "--n", "2", "--codims", "1,x",
+      "--ratios", "1/2,1/2"),
+     "--codims must be comma-separated integers, got '1,x'"),
+    (("sphere", "expected-count", "--n", "2", "--ratios", "1/2,abc"),
+     f"--ratios must be {_RATIOS}, got '1/2,abc'"),
+    (("sphere", "expected-count", "--n", "2", "--ratios", "1/0,1/2"),
+     f"--ratios must be {_RATIOS}, got '1/0,1/2'"),
+    (("sphere", "expected-count", "--n", "2", "--ratios", "nan,0.5"),
+     f"--ratios must be {_RATIOS}, got 'nan,0.5'"),
+    (("sphere", "expected-count", "--n", "2", "--ratios", "inf,0"),
+     f"--ratios must be {_RATIOS}, got 'inf,0'"),
+    (("schubert", "lr", "--a", "2,x", "--b", "1"),
+     "--a must be comma-separated integers, got '2,x'"),
+    (("schubert", "lr", "--a", "2,1", "--b", "1,1.5"),
+     "--b must be comma-separated integers, got '1,1.5'"),
+    (("schubert", "shape", "--diagrams", "1|2,x"),
+     "--diagrams must be comma-separated integers, got '2,x'"),
 ])
 def test_bad_argument_value(capsys, argv, message):
     # a nan or negative z printed invalid JSON or an inverted interval;
     # a negative N printed no rows, and a negative n a factorial error;
-    # ball-mc named neither --N nor --i
+    # ball-mc named neither --N nor --i; a list flag printed a bare int()
+    # or float() error, and a nan or inf ratio reached the count as nan
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -423,9 +444,11 @@ def test_bad_argument_value(capsys, argv, message):
 
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_bad_spans_sample_count(capsys, count):
-    code, err = run_err(capsys, "schubert", "spans", "--spans-samples", count)
-    assert code == 1
-    assert err.startswith("error: samples must be at least 1")
+    # --samples is another option of the same command
+    code = main(["schubert", "spans", "--spans-samples", count])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: samples must be at least 1 "
+                                       f"(--spans-samples), got {count}\n")
 
 
 def test_spans_budget_below_the_largest_rank(capsys):

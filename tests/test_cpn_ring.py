@@ -507,6 +507,3 @@ class TestKaehler:
     def test_omega_element_coords(self):
         e = cp.omega_element(2, 1)
         assert e.coords == {(0, 1): 1, (2, 3): 1}
-
-    def test_primitive_dims(self):
-        assert [cp.primitive_dims(4, d) for d in range(5)] == [1, 0, 1, 0, 1]

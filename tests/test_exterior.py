@@ -167,10 +167,6 @@ class TestHodgeStar:
         x = ExteriorElement(3, 2, {(1, 2): 1})
         assert ex.hodge_star(x).coords == {(0,): 1}
 
-    def test_orientation_flip(self):
-        x = ExteriorElement(3, 2, {(1, 2): 1})
-        assert ex.hodge_star(x, -1).coords == {(0,): -1}
-
     def test_star_star_sign(self):
         rng = random.Random(3)
         for n in range(1, 6):

@@ -123,7 +123,7 @@ class TestHaarUnitary:
 def _qr_orthogonal(rng, n, cols, size):
     """Reference O(n) columns: LAPACK QR of the same batch-last Gaussian
     columns, signs of diag(R) fixed."""
-    g = rng.standard_normal((cols, n) if size is None else (cols, n, size)).T
+    g = rng.standard_normal((cols, n, size)).T
     q, r = np.linalg.qr(g)
     d = np.sign(np.einsum("...ii->...i", r))
     return q * np.where(d == 0, 1.0, d)[..., None, :]
@@ -133,8 +133,7 @@ def _qr_unitary_realified(rng, n, cols, size):
     """Reference U(n) columns: complex QR of the same Gaussian columns
     (2n interleaved real and imaginary parts each), phases of diag(R)
     fixed, realified."""
-    shape = (cols, 2 * n) if size is None else (cols, 2 * n, size)
-    g = rng.standard_normal(shape)
+    g = rng.standard_normal((cols, 2 * n, size))
     q, r = np.linalg.qr((g[:, 0::2] + 1j * g[:, 1::2]).T)
     d = np.einsum("...ii->...i", r)
     u = q * (d / np.abs(d)).conj()[..., None, :]
@@ -155,37 +154,34 @@ class TestHaarMatchesQr:
     """Gram-Schmidt draws equal QR plus sign/phase fix on the same Gaussians."""
 
     @pytest.mark.parametrize("n", range(1, 7))
-    @pytest.mark.parametrize("size", [None, 300])
+    @pytest.mark.parametrize("size", [1, 300])
     def test_orthogonal(self, n, size):
-        batch = 1 if size is None else size
         for cols in range(n + 1):
             ref = _qr_orthogonal(sp.substream(20, n), n, cols, size)
             rng = sp.substream(20, n)
             q = sp.haar_orthogonal(n, rng, size, cols=cols)
-            assert q.shape == ((n, cols) if size is None else (size, n, cols))
+            assert q.shape == (size, n, cols)
             assert np.abs(q - ref).max(initial=0.0) <= 1e-12
             gram = np.einsum("...ki,...kj->...ij", q, q)
             assert np.abs(gram - np.eye(cols)).max(initial=0.0) <= 1e-12
             # exactly the n * cols normals of the returned columns are drawn
-            assert rng.standard_normal() == _normals(20, n, n * cols * batch)
+            assert rng.standard_normal() == _normals(20, n, n * cols * size)
 
     @pytest.mark.parametrize("n", range(1, 7))
-    @pytest.mark.parametrize("size", [None, 300])
+    @pytest.mark.parametrize("size", [1, 300])
     def test_unitary_realified(self, n, size):
-        batch = 1 if size is None else size
         assert sp.haar_unitary_realified(n, sp.substream(21, n), size).shape \
             == _qr_unitary_realified(sp.substream(21, n), n, n, size).shape
         for cols in range(n + 1):
             ref = _qr_unitary_realified(sp.substream(21, n), n, cols, size)
             rng = sp.substream(21, n)
             m = sp.haar_unitary_realified(n, rng, size, cols=cols)
-            assert m.shape == ((2 * n, 2 * cols) if size is None
-                               else (size, 2 * n, 2 * cols))
+            assert m.shape == (size, 2 * n, 2 * cols)
             assert np.abs(m - ref).max(initial=0.0) <= 1e-12
             gram = np.einsum("...ki,...kj->...ij", m, m)
             assert np.abs(gram - np.eye(2 * cols)).max(initial=0.0) <= 1e-12
             # exactly the 2n * cols normals of the returned columns
-            assert rng.standard_normal() == _normals(21, n, 2 * n * cols * batch)
+            assert rng.standard_normal() == _normals(21, n, 2 * n * cols * size)
 
     @pytest.mark.parametrize("cols", [-1, 4])
     def test_cols_out_of_range(self, cols):

@@ -132,6 +132,13 @@ class TestExpectedCount:
         with pytest.raises(ValueError):
             sr.sphere_expected_count(2, [1, 1], [-1.0, 1.0])
 
+    @pytest.mark.parametrize("ratios", [[math.nan, 0.5], [math.inf, 0],
+                                        [0.5, -math.inf]])
+    def test_ratio_that_is_not_finite(self, ratios):
+        # nan passed the old `v < 0` check, and inf * 0 gave nan
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            sr.sphere_expected_count(2, [1, 1], ratios)
+
 
 class TestSphereRingElement:
     def test_truncation(self):

@@ -146,9 +146,16 @@ def _read(flag, text, read, what="comma-separated integers"):
         raise ValueError(f"{flag} must be {what}, got {text!r}") from None
 
 
-def _diagram(flag, text):
-    """A diagram's comma-separated parts; blank text is the empty diagram."""
-    return tuple(_read(flag, text, int)) if text.strip() else ()
+def _diagram(flag, text, k=None, m=None):
+    """A diagram's comma-separated parts, blank text being the empty diagram;
+    with k and m given, it must fit the k x m rectangle."""
+    parts = _read(flag, text, int) if text.strip() else []
+    fit = "" if k is None else f" in the {k} x {m} rectangle of --k and --m"
+    if any(p < q for p, q in zip(parts, parts[1:] + [0])) or (
+            fit and not schubert.YoungDiagram(parts).fits(k, m)):
+        raise ValueError(f"{flag} must be a diagram{fit}: weakly decreasing "
+                         f"nonnegative integers, got {text!r}")
+    return tuple(parts)
 
 
 def _ratio(x):
@@ -172,7 +179,8 @@ def cmd_schubert(args):
         return schubert.verify_span_decomposition(
             k, m, args.d, samples=args.spans_samples, seed=args.seed)
     if args.action == "shape":
-        lams = [_diagram("--diagrams", t) for t in args.diagrams.split("|")]
+        lams = [_diagram("--diagrams", t, k, m)
+                for t in args.diagrams.split("|")]
         est = schubert.mc_schubert_shape(
             lams, k, m, args.samples, args.seed, args.workers)
         return {"k": k, "m": m, "diagrams": args.diagrams,
@@ -222,21 +230,21 @@ def cmd_sphere(args):
         n = args.N
         if n < 0:
             raise ValueError(f"--N must be nonnegative, got {n}")
-        rows = []
-        for i in range(n + 1):
-            rows.append({
-                "i": i,
-                "kappa_i": sphere_ring.kappa(i).to_json(),
-                "ball_wedge_length": sphere_ring.ball_wedge_length(
-                    n, 0, i, 1).to_json(),
-                "ball_length": (sphere_ring.ball_length(i).to_json()
-                                if i >= 1 else None),
-            })
-        return {"N": n, "rows": rows}
+        return {"N": n, "rows": [{
+            "i": i,
+            "kappa_i": sphere_ring.kappa(i).to_json(),
+            "ball_wedge_length": sphere_ring.ball_wedge_length(
+                n, 0, i, 1).to_json(),
+            "ball_length": (sphere_ring.ball_length(i).to_json()
+                            if i >= 1 else None),
+        } for i in range(n + 1)]}
     if args.action == "expected-count":
         codims = _read("--codims", args.codims, int)
         ratios = _read("--ratios", args.ratios, _ratio,
                        "comma-separated finite numbers, p/q or decimal")
+        if len(codims) != len(ratios):
+            raise ValueError(f"--codims and --ratios must have equal length, "
+                             f"got {args.codims!r} and {args.ratios!r}")
         val = sphere_ring.sphere_expected_count(args.n, codims, ratios)
         return {"n": args.n, "codims": codims,
                 "ratios": [_num(r) for r in ratios],
@@ -356,12 +364,8 @@ def build_parser():
     return parser
 
 
-DISPATCH = {
-    "cpn": cmd_cpn,
-    "schubert": cmd_schubert,
-    "zonoid": cmd_zonoid,
-    "sphere": cmd_sphere,
-}
+DISPATCH = {"cpn": cmd_cpn, "schubert": cmd_schubert, "zonoid": cmd_zonoid,
+            "sphere": cmd_sphere}
 
 
 def main(argv=None):

@@ -3,10 +3,10 @@
 The ring is R[beta, gamma] modulo two relations; a monomial basis in
 degree d is s^j t^(d-2j) for j in J(n, d), where t and s are the
 rescaled generators t = pi^(-2/3) beta, s = pi^(2/3) gamma.  In this
-basis the linear systems used to reduce out-of-basis monomials have
-integer Hankel matrices, so all ring arithmetic is exact rational.  The
-powers of pi that beta and gamma bring are carried by the coefficients,
-which are PiScalars.
+basis a monomial outside the basis reduces by a rational hypergeometric
+term in closed form (reduce_monomial), so ring arithmetic is exact and
+solves no linear system.  The powers of pi that beta and gamma bring are
+carried by the coefficients, which are PiScalars.
 """
 
 from fractions import Fraction
@@ -15,8 +15,7 @@ import math
 import re
 from types import MappingProxyType
 
-from .exact import PiScalar, bareiss_solve
-from .exterior import ExteriorElement
+from .exact import PiScalar
 from .sampling import (SamplerZonoid, haar_unitary_realified,
                        mc_wedge_length)
 from .sphere_ring import ball_wedge_length
@@ -75,34 +74,45 @@ def hankel_matrix(n, d):
              for b in js] for a in js]
 
 
-@functools.lru_cache(maxsize=1 << 10)
-def _degree_reductions(n, d):
-    """Reductions of s^J t^(d - 2J), J = 0 .. d // 2, for 0 <= d <= 2n.  A
-    basis monomial maps to itself; the others are matched in length against
-    all monomials of degree 2n - d, so they share one Hankel matrix and one
-    exact elimination."""
-    js = j_set(n, d)
-    out = [MappingProxyType({j: Fraction(1)}) for j in js]
-    if big_js := range(len(js), d // 2 + 1):
-        comp = 2 * n - d
-        rhs = [[math.comb(2 * (n - big_j - k), n - big_j - k)
-                if big_j + k <= n else 0 for big_j in big_js]
-               for k in j_set(n, comp)]
-        det, y = bareiss_solve(hankel_matrix(n, comp), rhs)
-        out += [MappingProxyType({j: Fraction(row[c], det)
-                                  for j, row in zip(js, y) if row[c]})
-                for c in range(len(big_js))]
-    return tuple(out)
-
-
+@functools.lru_cache(maxsize=1 << 16)
 def reduce_monomial(n, big_j, tpow):
     """Express the raw monomial s^big_j t^tpow in the basis of its degree
-    d = 2 big_j + tpow, as a read-only map j -> coefficient."""
+    d = 2 big_j + tpow, as a read-only map j -> coefficient.
+
+    Outside the basis (J = big_j >= K = dimension(n, d)), the c_j of
+    s^j t^(d-2j) match lengths with every monomial of degree 2n - d: for
+    k < K, sum_j c_j binom(2(n-j-k), n-j-k) = binom(2(n-J-k), n-J-k), a
+    system on hankel_matrix(n, 2n - d).  With b = 2(n - K) + 1 it solves to
+        c_0 = -prod_(i<K) (i-n)(i+1) / (2(i-K)(2i-b))
+              * prod_(K<=i<J) i(i-n) / (2(i-K+1)(2i-b)),
+        c_(j+1) = c_j 2(j-J)(2j-b)(j-K+1) / ((j-n)(j+1)(j-J+1)),
+    with no factor zero.  J = K: as binom(2v, v) = 4^v int x^v dmu(x) for
+    the arcsine law mu on [0, 1], q(x) = sum_j c_j 4^-j x^(K-j) - 4^-K is
+    orthogonal to degree < K for the weight x^(n-2K+1/2) (1-x)^(-1/2), so
+    q = -4^-K 2F1(-K, n-K+1; n-2K+3/2; x), a shifted Jacobi polynomial.
+    J > K: each row is a terminating balanced 4F3 at 1, and the formula
+    equals the Bareiss solve of the system for every (n, J, tpow) with
+    n <= 40 and every reduction at n = 48, 64, 80 and 100.
+    """
     if big_j < 0 or tpow < 0:
         raise ValueError("negative exponent")
     d = 2 * big_j + tpow
-    return (_degree_reductions(n, d)[big_j] if d <= 2 * n
-            else MappingProxyType({}))
+    k = dimension(n, d)
+    if d > 2 * n or big_j < k:
+        return MappingProxyType({big_j: Fraction(1)} if k else {})
+    # running ints, one Fraction per coefficient
+    b, num, den = 2 * (n - k) + 1, -1, 1
+    for i in range(k):
+        num, den = num * (i - n) * (i + 1), den * 2 * (i - k) * (2 * i - b)
+    for i in range(k, big_j):
+        num, den = num * i * (i - n), den * 2 * (i - k + 1) * (2 * i - b)
+    out = {}
+    for j in range(k):
+        if j:
+            num *= 2 * (j - 1 - big_j) * (2 * j - 2 - b) * (j - k)
+            den *= (j - 1 - n) * j * (j - big_j)
+        out[j] = Fraction(num, den)
+    return MappingProxyType(out)
 
 
 class RingElement:
@@ -318,15 +328,11 @@ def relation_st(n):
     s^p (n odd) or s^p t (n even), p = ceil((n+1)/2) adjusted so the
     lead has total degree n+1.
     """
-    if n % 2 == 1:
-        p, tlead = (n + 1) // 2, 0
-    else:
-        p, tlead = n // 2, 1
+    p, tlead = (n + 1) // 2, (n + 1) % 2
+    # the lead lies outside the basis, and no reduction has a zero coefficient
     red = reduce_monomial(n, p, tlead)
-    out = {(p, tlead): Fraction(1)}
-    for j, c in red.items():
-        out[(j, n + 1 - 2 * j)] = out.get((j, n + 1 - 2 * j), Fraction(0)) - c
-    return {k: v for k, v in out.items() if v != 0}
+    return {(p, tlead): Fraction(1),
+            **{(j, n + 1 - 2 * j): -c for j, c in red.items()}}
 
 
 def relation_beta_gamma(n):
@@ -383,11 +389,9 @@ def self_intersection_codim2(n, d_x, delta_x):
         raise ValueError("need n >= 2")
     d_x, delta_x = Fraction(d_x), Fraction(delta_x)
     q = Fraction(n, 2 * (n - 1))
-    total = Fraction(0)
-    for k in range(n // 2 + 1):
-        total += (math.comb(n, 2 * k) * math.comb(2 * k, k)
-                  * q ** (2 * k) * d_x ** (n - 2 * k) * delta_x ** (2 * k))
-    return total
+    return sum((math.comb(n, 2 * k) * math.comb(2 * k, k) * q ** (2 * k)
+                * d_x ** (n - 2 * k) * delta_x ** (2 * k)
+                for k in range(n // 2 + 1)), Fraction(0))
 
 
 def self_intersection_via_ring(n, d_x, delta_x):
@@ -469,10 +473,9 @@ def omega_element(n, k):
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     import itertools
-    coords = {}
-    for sub in itertools.combinations(range(n), k):
-        idx = tuple(i for j in sub for i in (2 * j, 2 * j + 1))
-        coords[idx] = Fraction(1)
+    from .exterior import ExteriorElement
+    coords = {tuple(i for j in sub for i in (2 * j, 2 * j + 1)): Fraction(1)
+              for sub in itertools.combinations(range(n), k)}
     return ExteriorElement(2 * n, 2 * k, coords)
 
 

@@ -146,13 +146,13 @@ def pivot_rows_mod_p(rows):
 
 def bareiss_solve(matrix, rhs):
     """(D, Y) with Y = D A^-1 B, for a square integer matrix A and integer
-    rows B, one column per right-hand side; all Python ints.
+    rows B, one column per right-hand side; all Python ints.  Its caller is
+    schubert.rational_schubert (Cayley rotations); the CP^n ring reduces in
+    closed form instead (cpn_ring.reduce_monomial).
 
     One fraction-free (Bareiss) elimination of [A | B] leaves an upper
-    triangular system whose last pivot D is the determinant of the
-    row-permuted A; back-substitution on the integers Y divides exactly.
-    Raises ValueError on a singular matrix.
-    """
+    triangular system with last pivot D = det(row-permuted A); integer
+    back-substitution divides exactly.  ValueError if A is singular."""
     n = len(matrix)
     if len(rhs) != n or {*map(len, matrix)} - {n} or len({*map(len, rhs)}) > 1:
         raise ValueError("need a square matrix and matching right-hand sides")

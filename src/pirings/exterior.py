@@ -189,9 +189,8 @@ def wedge_elements(x, y):
     for i_idx, a in x.coords.items():
         for j_idx, b in y.coords.items():
             sgn, merged = _merge_sign(i_idx, j_idx)
-            if sgn == 0:
-                continue
-            coords[merged] = coords.get(merged, 0) + sgn * a * b
+            if sgn:
+                coords[merged] = coords.get(merged, 0) + sgn * a * b
     return ExteriorElement(n, d, coords)
 
 
@@ -206,8 +205,7 @@ def hodge_star(x):
     coords = {}
     for idx, c in x.coords.items():
         comp = tuple(sorted(full - set(idx)))
-        sgn, _ = _merge_sign(idx, comp)
-        coords[comp] = sgn * c
+        coords[comp] = _merge_sign(idx, comp)[0] * c
     return ExteriorElement(n, n - x.degree, coords)
 
 

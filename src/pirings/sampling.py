@@ -308,9 +308,7 @@ def mc_wedge_length(zs, samples, seed, workers=1):
         raise ValueError("ambient dimension mismatch")
     if deg > n:
         raise ValueError("degree overflow")
-    scale = 1.0
-    for z in zs:
-        scale *= z.scale
+    scale = math.prod((z.scale for z in zs), start=1.0)
 
     def block_fn(b, size):
         block = np.empty((deg, n, size))

@@ -100,11 +100,8 @@ def _lr_fillings(outer, inner, content):
     the reverse reading word is a lattice word.
     """
     rows = len(outer)
-    cells = []
-    for i in range(rows):
-        lo = inner[i] if i < len(inner) else 0
-        for j in range(lo, outer[i]):
-            cells.append((i, j))
+    cells = [(i, j) for i in range(rows)
+             for j in range(inner[i] if i < len(inner) else 0, outer[i])]
     # reading order: rows top to bottom, right to left, so the lattice
     # condition can be checked incrementally
     cells.sort(key=lambda c: (c[0], -c[1]))

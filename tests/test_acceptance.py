@@ -7,7 +7,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from pirings import cpn_ring as cp
@@ -18,7 +17,6 @@ from pirings.cpn_ring import RingElement
 from pirings.exact import PiScalar, bareiss_det
 from pirings.exterior import SimpleVector
 from pirings.sampling import gaussian_ball, mc_wedge_length
-from pirings.schubert import YoungDiagram
 
 
 def test_criterion_01_cp2_relations():

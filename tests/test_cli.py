@@ -388,6 +388,8 @@ def test_bad_sample_or_worker_count(capsys, argv):
 
 
 _RATIOS = "comma-separated finite numbers, p/q or decimal"
+_PARTS = "weakly decreasing nonnegative integers"
+_RECT = "rectangle of --k and --m"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -431,12 +433,30 @@ _RATIOS = "comma-separated finite numbers, p/q or decimal"
      "--b must be comma-separated integers, got '1,1.5'"),
     (("schubert", "shape", "--diagrams", "1|2,x"),
      "--diagrams must be comma-separated integers, got '2,x'"),
+    (("schubert", "lr", "--a", "1,2", "--b", "1"),
+     f"--a must be a diagram: {_PARTS}, got '1,2'"),
+    (("schubert", "lr", "--a=-1"), f"--a must be a diagram: {_PARTS}, got '-1'"),
+    (("schubert", "lr", "--a", "1", "--b", "2,0,-1"),
+     f"--b must be a diagram: {_PARTS}, got '2,0,-1'"),
+    (("schubert", "shape", "--diagrams", "3"),
+     f"--diagrams must be a diagram in the 2 x 2 {_RECT}: {_PARTS}, got '3'"),
+    (("schubert", "shape", "--k", "3", "--diagrams", "1|2,1,0|1,1,1,1"),
+     f"--diagrams must be a diagram in the 3 x 2 {_RECT}: {_PARTS}, "
+     "got '1,1,1,1'"),
+    (("schubert", "shape", "--diagrams", "1|1,2"),
+     f"--diagrams must be a diagram in the 2 x 2 {_RECT}: {_PARTS}, "
+     "got '1,2'"),
+    (("sphere", "expected-count", "--n", "2", "--codims", "1,1",
+      "--ratios", "1"),
+     "--codims and --ratios must have equal length, got '1,1' and '1'"),
 ])
 def test_bad_argument_value(capsys, argv, message):
     # a nan or negative z printed invalid JSON or an inverted interval;
     # a negative N printed no rows, and a negative n a factorial error;
     # ball-mc named neither --N nor --i; a list flag printed a bare int()
-    # or float() error, and a nan or inf ratio reached the count as nan
+    # or float() error, and a nan or inf ratio reached the count as nan;
+    # a list that parsed but was no diagram, or of the wrong length, gave
+    # the library's message, which named no flag
     code = main(list(argv))
     out, err = capsys.readouterr()
     assert (code, out, err) == (1, "", f"error: {message}\n")
@@ -610,7 +630,8 @@ def executed_modules(argv, cwd):
 @pytest.mark.parametrize("argv, called, skipped", [
     (("--help",), "cli", {"cpn_ring", "schubert", "zonoid", "sphere_ring",
                           "sampling", "exterior", "exact"}),
-    (("cpn", "relations", "--n", "4"), "cpn_ring", {"schubert", "zonoid"}),
+    (("cpn", "relations", "--n", "4"), "cpn_ring",
+     {"schubert", "zonoid", "exterior"}),
     (("zonoid", "length", "-f", "square.json"), "zonoid",
      {"cpn_ring", "sampling", "schubert"}),
 ], ids=["help", "cpn relations", "zonoid length"])

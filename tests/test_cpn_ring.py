@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from pirings import cpn_ring as cp
+from pirings import cpn_ring as cp, exact
 from pirings.cpn_ring import RingElement
 from pirings.exact import PiScalar, bareiss_det, bareiss_solve
 
@@ -105,6 +105,19 @@ def cramer_reduce(n, big_j, tpow):
     return out
 
 
+def solved_reductions(n, d):
+    """The reductions of the out-of-basis monomials s^J t^(d - 2J) of a
+    degree d > n, J -> map, from one Bareiss solve on the Hankel matrix of
+    the complementary degree with one right-hand side per J."""
+    js, comp = cp.j_set(n, d), 2 * n - d
+    big_js = range(len(js), d // 2 + 1)
+    rhs = [[math.comb(2 * (n - big_j - k), n - big_j - k) for big_j in big_js]
+           for k in cp.j_set(n, comp)]
+    det, y = bareiss_solve(cp.hankel_matrix(n, comp), rhs)
+    return {big_j: {j: Fraction(row[c], det) for j, row in zip(js, y) if row[c]}
+            for c, big_j in enumerate(big_js)}
+
+
 class TestReduceMonomial:
     def test_matches_cramer(self):
         for n in range(15):
@@ -128,20 +141,35 @@ class TestReduceMonomial:
             red[0] = Fraction(7)
         assert cp.reduce_monomial(4, 3, 0) == cramer_reduce(4, 3, 0)
 
-    def test_one_solve_per_degree(self, monkeypatch):
-        # every out-of-basis monomial of a degree shares its Hankel matrix
-        matrices = []
+    def test_matches_the_hankel_solve(self):
+        # every out-of-basis monomial for n <= 40, and every degree at n = 64
+        for n in [*range(41), 64]:
+            for d in range(n + 1, 2 * n + 1):
+                for big_j, red in solved_reductions(n, d).items():
+                    assert (cp.reduce_monomial(n, big_j, d - 2 * big_j)
+                            == red), (n, big_j, d)
 
-        def counting_solve(matrix, rhs):
-            matrices.append(tuple(map(tuple, matrix)))
-            return bareiss_solve(matrix, rhs)
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_hankel_solve_property(self, data):
+        n = data.draw(st.integers(1, 60))
+        d = data.draw(st.integers(n + 1, 2 * n))
+        big_j = data.draw(st.integers(cp.dimension(n, d), d // 2))
+        assert (cp.reduce_monomial(n, big_j, d - 2 * big_j)
+                == solved_reductions(n, d)[big_j])
 
-        monkeypatch.setattr(cp, "bareiss_solve", counting_solve)
-        cp._degree_reductions.cache_clear()
+    def test_no_solver(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the ring called an exact solver")
+
+        for name in ("_bareiss", "bareiss_det", "bareiss_solve", "int_det"):
+            monkeypatch.setattr(exact, name, refuse)
+        cp.reduce_monomial.cache_clear()
         n, d_x, delta_x = 32, Fraction(7, 3), Fraction(-5, 2)
         assert (cp.self_intersection_via_ring(n, d_x, delta_x)
                 == cp.self_intersection_codim2(n, d_x, delta_x))
-        assert matrices and len(set(matrices)) == len(matrices) <= n
+        for rel in cp.relations(n):
+            assert cp.evaluate_relation_st(rel["st"], n).is_zero()
 
 
 PI_EXPS = [Fraction(k, 3) for k in (-2, 0, 2, 4)]

@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
-import numpy as np
 import pytest
 
 from pirings import exterior as ex

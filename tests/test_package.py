@@ -5,6 +5,8 @@
   as part of the Python API.
 - Every import in src/pirings is the standard library, numpy or the
   package itself: numpy is the only runtime dependency.
+- No module in src/pirings or tests imports a top-level name it never
+  reads.
 - The README's Python examples run and print what their comments say.
 """
 
@@ -86,6 +88,25 @@ def test_imports_are_stdlib_numpy_or_the_package():
                 continue
             foreign += [f"{stem}: {top}" for top in tops if top not in allowed]
     assert foreign == []
+
+
+def unread_imports(path):
+    """The names that the top-level imports of the module at path bind and
+    that no other part of it reads."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if (name := alias.asname or alias.name.split(".")[0]) not in read]
+
+
+def test_no_import_is_left_unread():
+    unread = [f"{path.relative_to(ROOT)}: {name}"
+              for path in sorted([*PACKAGE.glob("*.py"),
+                                  *(ROOT / "tests").glob("*.py")])
+              for name in unread_imports(path)]
+    assert unread == []
 
 
 def readme_python_blocks():

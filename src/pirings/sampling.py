@@ -11,7 +11,10 @@ s of a (d, N, size) array.  Each sampler fills its own rows of that
 array in place, and one Gram-Schmidt pass over it gives both the Haar
 draws (its Q) and the wedge norms (the product of the norms it divides
 by).  Gaussians come from numpy's ziggurat implementation, and a Haar
-draw makes only the Gaussian columns that it returns.
+draw makes only the Gaussian columns that it returns.  A Gaussian factor
+of a wedge has no rows in the block: its residual after the other rows
+is a standard Gaussian in their orthogonal complement, so its norm is a
+chi variable, drawn as one Gamma variate per trial.
 
 numpy is imported inside the functions that build arrays, not at module
 level, so that the exact commands of the CLI that import this module
@@ -169,16 +172,15 @@ def haar_unitary_realified(n, rng, size, cols=None):
 
 
 class GaussianSampler:
-    """Standard Gaussian vector in R^N (degree 1)."""
+    """Standard Gaussian vector in R^N (degree 1).
+
+    It has no draw: mc_wedge_length draws the chi norm of its residual
+    instead of its N coordinates.
+    """
 
     def __init__(self, ambient_dim):
         self.ambient_dim = ambient_dim
         self.degree = 1
-
-    def draw(self, rng, out):
-        """Fill out, a C-contiguous (degree, N, size) block, one trial
-        per last-axis entry; every sampler's draw has this form."""
-        rng.standard_normal(out=out)
 
 
 class SchubertSampler:
@@ -201,6 +203,8 @@ class SchubertSampler:
         self.boxes = [(i, j) for i, p in enumerate(parts) for j in range(p)]
 
     def draw(self, rng, out):
+        """Fill out, a C-contiguous (degree, N, size) block, one trial
+        per last-axis entry; every sampler's draw has this form."""
         import numpy as np
         size = out.shape[-1]
         q = haar_orthogonal(self.k, rng, size, cols=len(self.parts)).T
@@ -210,25 +214,6 @@ class SchubertSampler:
         boxes = out.reshape(self.degree, self.k, self.m, size)
         for b, (i, j) in enumerate(self.boxes):
             np.multiply(q[i][:, None], r[j], out=boxes[b])
-
-
-class FixedSampler:
-    """The same simple vector in every trial; it draws nothing from rng.
-
-    factors are the rows of its d x N matrix.  Where a wedge norm is
-    invariant under one rotation applied to all its factors, one random
-    factor can be held fixed like this without changing the law of the
-    result.
-    """
-
-    def __init__(self, factors):
-        self.factors = [[float(x) for x in row] for row in factors]
-        self.degree = len(self.factors)
-        self.ambient_dim = len(self.factors[0])
-
-    def draw(self, rng, out):
-        import numpy as np
-        out[...] = np.asarray(self.factors)[..., None]
 
 
 class SamplerZonoid:
@@ -294,9 +279,14 @@ def run_blocks(samples, seed, block_fn, workers=1):
 def mc_wedge_length(zs, samples, seed, workers=1):
     """Monte-Carlo estimate of the length of the wedge of sampler zonoids.
 
-    Zonoid i draws from slot i of the seed, into its own rows of the
-    block's one (degree, N, size) array; the wedge norms of the block
-    are the norm products of one _gram_schmidt pass over that array.
+    Zonoid i draws from slot i of the seed.  The wedge norm is invariant
+    under reordering its factors, so the Gaussian factors are taken last.
+    The other samplers fill their own rows of the block's one
+    (rows, N, size) array, whose norm products come from one
+    _gram_schmidt pass.  The residual of a Gaussian factor after the f'
+    rows before it is a standard Gaussian in their orthogonal complement,
+    independent of those rows, so its norm is chi with f = N - f' degrees
+    of freedom: sqrt(2 g) for g drawn from Gamma(f / 2).
     """
     zs = list(zs)
     if not zs:
@@ -309,14 +299,23 @@ def mc_wedge_length(zs, samples, seed, workers=1):
     if deg > n:
         raise ValueError("degree overflow")
     scale = math.prod((z.scale for z in zs), start=1.0)
+    gaussian = [slot for slot, z in enumerate(zs)
+                if isinstance(z.sampler, GaussianSampler)]
+    drawn = [(slot, z) for slot, z in enumerate(zs) if slot not in gaussian]
+    rows = deg - len(gaussian)
+    # slot and degrees of freedom of each Gaussian factor's chi norm
+    chis = [(slot, n - rows - k) for k, slot in enumerate(gaussian)]
 
     def block_fn(b, size):
-        block = np.empty((deg, n, size))
+        block = np.empty((rows, n, size))
         row = 0
-        for slot, z in enumerate(zs):
-            z.sampler.draw(substream(seed, slot, b),
-                           block[row:row + z.degree])
+        for slot, z in drawn:
+            z.sampler.draw(substream(seed, slot, b), block[row:row + z.degree])
             row += z.degree
-        return block_stats(scale * _gram_schmidt(block)[1])
+        norms = _gram_schmidt(block)[1]
+        for slot, f in chis:
+            g = substream(seed, slot, b).standard_gamma(f / 2, size)
+            norms *= np.sqrt(2 * g)
+        return block_stats(scale * norms)
 
     return run_blocks(samples, seed, block_fn, workers)

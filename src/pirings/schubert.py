@@ -9,14 +9,14 @@ calibrated expected-degree pipeline for lines in projective 3-space
 import itertools
 import math
 
-from .exact import P31, bareiss_solve, pivot_rows_mod_p
-from .exterior import SimpleVector, laplace_plan, wedge_inner
 from .sampling import (
     Estimate,
-    FixedSampler,
     SamplerZonoid,
     SchubertSampler,
+    block_stats,
+    haar_orthogonal,
     mc_wedge_length,
+    run_blocks,
     substream,
 )
 
@@ -210,6 +210,8 @@ def rational_schubert(parts, k, m, rng, size):
     exact.bareiss_solve(I + S, I - S); no pivot is zero, as the leading
     minors of I + S are at least 1, so D = det(I + S).
     """
+    from .exact import bareiss_solve
+    from .exterior import SimpleVector
     lam = as_diagram(parts)
     if not lam.fits(k, m):
         raise ValueError("diagram does not fit the rectangle")
@@ -239,6 +241,8 @@ def _plucker_residues(vectors):
     r (exterior.laplace_plan), over all samples at once, with every
     product of residues reduced."""
     import numpy as np
+    from .exact import P31
+    from .exterior import laplace_plan
     n, d = vectors[0].ambient_dim, vectors[0].degree
     factors = np.array([v.factors for v in vectors], dtype=object)
     factors = (factors.reshape(len(vectors), d, n) % P31).astype(np.int64)
@@ -269,6 +273,8 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     vanishes mod P31: a rank that reads short, a visible failure and never
     a false pass.
     """
+    from .exact import pivot_rows_mod_p
+    from .exterior import SimpleVector, wedge_inner
     if k < 1 or m < 1:
         raise ValueError(f"k and m must be at least 1, got k={k}, m={m}")
     if not 0 <= d <= k * m:
@@ -321,6 +327,73 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     return report
 
 
+def _ellipke(m):
+    """(E(m), K(m)), the complete elliptic integrals of the second and
+    first kind at parameter m in [0, 1], elementwise over an array m.
+
+    Arithmetic-geometric mean (Abramowitz and Stegun 17.6): from a_0 = 1,
+    b_0 = sqrt(1 - m), c_0 = sqrt(m), a_(n+1) = (a_n + b_n) / 2,
+    b_(n+1) = sqrt(a_n b_n) and c_(n+1) = (a_n - b_n) / 2, K = pi / (2 a_N)
+    and E = K (1 - sum_n 2^(n-1) c_n^2).  It stops once every c_N is below
+    1e-9 a_N, after which a_N moves by less than a rounding error.  At
+    m = 1, where the mean does not converge, E = 1 and K = inf.  The
+    sequences are updated in place, so a call holds a few arrays the size
+    of m at a time.
+    """
+    import numpy as np
+    m = np.asarray(m, dtype=float)
+    one = m == 1  # any b_0 > 0 runs there; those entries are set at the end
+    a, b = np.ones_like(m), np.sqrt(np.where(one, 0.5, 1 - m))
+    c, total, weight = np.empty_like(m), m / 2, 0.5
+    while True:
+        np.subtract(a, b, out=c)
+        c /= 2              # c_(n+1)
+        b *= a
+        np.sqrt(b, out=b)   # b_(n+1)
+        a -= c              # a_(n+1) = a_n - c_(n+1) = (a_n + b_n) / 2
+        weight *= 2
+        total += weight * c * c
+        if np.all(c <= 1e-9 * a):
+            break
+    k = np.divide(np.pi / 2, a, out=a)
+    e = np.subtract(1, total, out=total)
+    e *= k
+    e[one], k[one] = 1.0, np.inf
+    return e, k
+
+
+def _circle_abs_mean(c00, c01, c10, c11):
+    """E|q^T C r| for q and r independent and uniform on the unit circle,
+    elementwise over the entries of C = [[c00, c01], [c10, c11]], which
+    broadcast to an array (at least one of them is an array).
+
+    With the singular values s_1 >= s_2 of C and the angles x, y of q and
+    r in its singular bases, q^T C r = A cos(x - y) + B cos(x + y) up to
+    sign, where A = (s_1 + s_2) / 2 and B = (s_1 - s_2) / 2, and x - y and
+    x + y are again independent and uniform.  The mean over x - y is
+    (2 / pi) (sqrt(A^2 - t^2) + t arcsin(t / A)) at t = B cos(x + y), and
+    its mean over x + y is (4 A / pi^2) (2 E(m) - (1 - m) K(m)) with
+    m = (B / A)^2: 8 A / pi^2 at m = 1 (det C = 0), and 0 at A = 0.
+    2A and 2B are the lengths sqrt(|C|_F^2 +- 2 det C), each computed as
+    a hypotenuse, so nothing cancels and no SVD is needed.  The arrays
+    are reused in place, as in _ellipke.
+    """
+    import numpy as np
+    p = np.hypot(np.add(c00, c11), np.subtract(c01, c10))
+    q = np.hypot(np.subtract(c00, c11), np.add(c01, c10))
+    a2, m = np.maximum(p, q), np.minimum(p, q, out=p)  # 2A and 2B
+    del q
+    np.divide(m, a2, out=m, where=a2 > 0)  # B / A, and 0 where A = 0
+    m *= m
+    e, k = _ellipke(m)
+    k[m == 1] = 0.0  # (1 - m) K(m) -> 0 as m -> 1
+    k *= 1 - m
+    e *= 2
+    e -= k
+    e *= a2
+    return e * (2 / np.pi ** 2)
+
+
 def edeg22_calibrated(samples, seed, workers=1):
     """Calibrated expected degree for four random Schubert conditions on G(2,4).
 
@@ -342,17 +415,33 @@ def edeg22_calibrated(samples, seed, workers=1):
 
     So the expected degree is E4 * (1/2) / (8/pi^3)^2 = (pi^6/128) * E4,
     and only E4 is estimated; its standard error scales by the same
-    constant.  E4 is the mean norm of g_1 v ^ g_2 v ^ g_3 v ^ g_4 v for
-    v = e_1 (x) f_1 and independent Haar g_i on O(2) x O(2).  That norm
-    is invariant under a common rotation, so g_1 is taken to be the
-    identity (the g_1^-1 g_i are again independent and Haar): slot 0 of
-    the seed holds v fixed and draws nothing, and slots 1 to 3 draw the
-    three rotations.  components holds the E4 estimate.
+    constant.  E4 is the mean of |det[v_0; v_1; v_2; v_3]| for
+    v_i = q_i (x) r_i, the box e_1 (x) f_1 moved by independent Haar
+    pairs (q_i, r_i) on O(2) x O(2), in the coordinates
+    (q (x) r)_(2a+b) = q_a r_b.  The determinant is invariant under a
+    common rotation, so v_0 = e_1 (x) f_1, coordinate 0.  Expanding along
+    it, det = w . v_3[1:] with w = v_1[1:] x v_2[1:], which is
+    q_3^T C r_3 for C = [[0, w_0], [w_1, w_2]].  The last pair is averaged
+    exactly (_circle_abs_mean), so each sample is that conditional mean;
+    only v_1 and v_2 are drawn, slot s in {1, 2} of the seed drawing q_s
+    and then r_s, one Haar column of O(2) each.  components holds the E4
+    estimate.
     """
-    # v = e_1 (x) f_1, coordinate 0 of R^2 (x) R^2
-    fixed = SamplerZonoid(1.0, FixedSampler([[1.0, 0.0, 0.0, 0.0]]))
-    rotated = SamplerZonoid(1.0, SchubertSampler((1,), 2, 2))
-    e4 = mc_wedge_length([fixed] + [rotated] * 3, samples, seed, workers)
+    def pair(slot, b, size):
+        rng = substream(seed, slot, b)
+        return [haar_orthogonal(2, rng, size, cols=1).T[0] for _ in range(2)]
+
+    def block_fn(b, size):
+        (q, r), (s, t) = pair(1, b, size), pair(2, b, size)
+        # w = v_1[1:] x v_2[1:] for v_1 = q (x) r and v_2 = s (x) t, whose
+        # coordinates 1 to 3 are (q_0 r_1, q_1 r_0, q_1 r_1)
+        w = (q[1] * s[1] * (r[0] * t[1] - r[1] * t[0]),
+             r[1] * t[1] * (q[1] * s[0] - q[0] * s[1]),
+             q[0] * r[1] * s[1] * t[0] - q[1] * r[0] * s[0] * t[1])
+        del q, r, s, t  # the kernel needs only w: keep the block's peak low
+        return block_stats(_circle_abs_mean(0.0, *w))
+
+    e4 = run_blocks(samples, seed, block_fn, workers)
     scale = math.pi ** 6 / 128
     return Estimate(scale * e4.mean, scale * e4.std_error, samples, seed,
                     scale * e4.max_value, components={"E4": e4})

@@ -634,7 +634,12 @@ def executed_modules(argv, cwd):
      {"schubert", "zonoid", "exterior"}),
     (("zonoid", "length", "-f", "square.json"), "zonoid",
      {"cpn_ring", "sampling", "schubert"}),
-], ids=["help", "cpn relations", "zonoid length"])
+    (("schubert", "edeg22", "--samples", "100"), "schubert",
+     {"exact", "exterior", "cpn_ring", "zonoid"}),
+    (("schubert", "shape", "--diagrams", "1|2,1", "--samples", "100"),
+     "schubert", {"exact", "exterior", "cpn_ring", "zonoid"}),
+], ids=["help", "cpn relations", "zonoid length", "schubert edeg22",
+        "schubert shape"])
 def test_command_runs_only_the_modules_it_calls(tmp_path, argv, called,
                                                 skipped):
     write_inputs(tmp_path)

@@ -275,11 +275,6 @@ class TestSchubertSampler:
         with pytest.raises(ValueError):
             sp.SchubertSampler((3,), 2, 2)
 
-    def test_fixed_sampler_draws_nothing(self):
-        out = np.empty((1, 4, 3))
-        sp.FixedSampler([[1, 0, 0, 0]]).draw(None, out)
-        assert np.array_equal(out[0], [[1.0] * 3] + [[0.0] * 3] * 3)
-
 
 class TestRunBlocks:
     @pytest.mark.parametrize("samples, workers", [(0, 1), (-3, 1), (10, 0),
@@ -409,6 +404,83 @@ class TestMcWedgeLength:
         est = sp.mc_wedge_length([z, z], 100000, seed=15)
         exact = float(zn.length(zn.wedge([square, square])))
         assert abs(est.mean - exact) < 3 * est.std_error
+
+
+def gaussian_rows_wedge_length(zs, samples, seed):
+    """mc_wedge_length with every Gaussian factor drawn as N normals in its
+    own rows of the block, all reduced by one Gram-Schmidt pass: the
+    direct path, an oracle for the chi norms."""
+    n = zs[0].ambient_dim
+    deg = sum(z.degree for z in zs)
+    scale = math.prod(z.scale for z in zs)
+
+    def block_fn(b, size):
+        block = np.empty((deg, n, size))
+        row = 0
+        for slot, z in enumerate(zs):
+            rng, rows = sp.substream(seed, slot, b), block[row:row + z.degree]
+            if isinstance(z.sampler, sp.GaussianSampler):
+                rng.standard_normal(out=rows)
+            else:
+                z.sampler.draw(rng, rows)
+            row += z.degree
+        return sp.block_stats(scale * sp._gram_schmidt(block)[1])
+
+    return sp.run_blocks(samples, seed, block_fn)
+
+
+def one_box(k, m):
+    return sp.SamplerZonoid(1.0, sp.SchubertSampler((1,), k, m))
+
+
+class TestChiNorms:
+    """Gaussian factors of mc_wedge_length contribute chi norms."""
+
+    @pytest.mark.parametrize("zs, seed", [
+        ([sp.gaussian_ball(1)], 1),
+        ([sp.gaussian_ball(3)] * 2, 2),
+        ([sp.gaussian_ball(4)] * 4, 3),
+        ([sp.gaussian_ball(6)] * 3, 4),
+        ([sp.gaussian_ball(6)] * 6, 5),
+        ([one_box(2, 2), sp.gaussian_ball(4)], 6),
+        ([sp.gaussian_ball(6), sp.SamplerZonoid(
+            2.0, sp.SchubertSampler((2, 1), 2, 3)), sp.gaussian_ball(6)], 7),
+    ], ids=["B1", "B3^2", "B4^4", "B6^3", "B6^6", "box^B4", "B6^(2,1)^B6"])
+    def test_matches_gaussian_rows(self, zs, seed):
+        new = sp.mc_wedge_length(zs, 100000, seed)
+        old = gaussian_rows_wedge_length(zs, 100000, seed + 100)
+        se = math.hypot(new.std_error, old.std_error)
+        assert abs(new.mean - old.mean) < 4 * se
+
+    def test_box_wedge_ball(self):
+        # a unit box vector times chi_3: sqrt(2 pi) E chi_3 = 4
+        est = sp.mc_wedge_length([one_box(2, 2), sp.gaussian_ball(4)],
+                                 200000, seed=8)
+        assert abs(est.mean - 4.0) < 4 * est.std_error
+
+    def test_gaussian_factor_draws_one_gamma_per_trial(self, monkeypatch):
+        drawn = []
+        substream = sp.substream
+
+        def recording(seed, slot, block=0):
+            rng = substream(seed, slot, block)
+            drawn.append((slot, rng))
+            return rng
+
+        monkeypatch.setattr(sp, "substream", recording)
+        size = 100
+        est = sp.mc_wedge_length([sp.gaussian_ball(5)] * 2, size, seed=9)
+        assert [slot for slot, _ in drawn] == [0, 1]
+        # chi_5 and then chi_4, each sqrt(2 g) with g ~ Gamma(f / 2)
+        want = 2 * math.pi * np.sqrt(
+            2 * substream(9, 0).standard_gamma(2.5, size)) * np.sqrt(
+            2 * substream(9, 1).standard_gamma(2.0, size))
+        assert est.mean == pytest.approx(want.mean(), rel=1e-14)
+        # and nothing else: each stream goes on with its (size + 1)-th variate
+        for slot, rng in drawn:
+            shape = (5 - slot) / 2
+            assert rng.standard_gamma(shape) == substream(
+                9, slot).standard_gamma(shape, size + 1)[-1]
 
 
 class TestMcPairing:

@@ -3,10 +3,12 @@ import math
 import operator
 
 from hypothesis import example, given, settings, strategies as st
+import numpy as np
 import pytest
 
 from pirings import sampling as sp
 from pirings import schubert as sb
+from pirings.exact import P31
 from pirings.exterior import SimpleVector, expand
 from pirings.schubert import YoungDiagram
 
@@ -245,7 +247,7 @@ class TestPluckerResidues:
     def test_exact_minors_mod_p(self, vs):
         n, d = vs[0].ambient_dim, vs[0].degree
         sets = list(itertools.combinations(range(n), d))
-        want = [[int(expand(v).coords.get(idx, 0)) % sb.P31 for idx in sets]
+        want = [[int(expand(v).coords.get(idx, 0)) % P31 for idx in sets]
                 for v in vs]
         got = sb._plucker_residues(vs)
         assert got.dtype == "int64" and got.shape == (len(vs), len(sets))
@@ -262,23 +264,32 @@ class TestEdeg:
 
     def test_streams_of_neighbouring_seeds_are_disjoint(self, monkeypatch):
         used = []
-        substream = sp.substream
+        substream = sb.substream
 
         def recording(seed, slot, block=0):
             used.append((seed, slot, block))
             return substream(seed, slot, block)
 
-        monkeypatch.setattr(sp, "substream", recording)
+        monkeypatch.setattr(sb, "substream", recording)
         runs = {}
         for seed in (5, 6):
             used.clear()
             sb.edeg22_calibrated(100, seed)
             runs[seed] = set(used)
-            # one key per run, and each of the four boxes on its own slot
-            # (slot 0 is the fixed first box, which draws nothing)
+            # one key per run, and only the second and third boxes draw,
+            # each on its own slot: the first is fixed and the fourth is
+            # averaged in closed form
             assert {k for k, _, _ in used} == {seed}
-            assert len(used) == len(runs[seed]) == 4
+            assert sorted(used) == [(seed, 1, 0), (seed, 2, 0)]
         assert not runs[5] & runs[6]
+
+    def test_e4_matches_four_rotated_boxes(self):
+        # the same E4 as the plain wedge norm of four independently
+        # rotated boxes, which holds none of them fixed
+        e4 = sb.edeg22_calibrated(100000, seed=7).components["E4"]
+        plain = sb.mc_schubert_shape([(1,)] * 4, 2, 2, 200000, seed=8)
+        se = math.hypot(e4.std_error, plain.std_error)
+        assert abs(e4.mean - plain.mean) < 4 * se
 
     def test_components_field_and_worker_identity(self):
         assert sp.Estimate(0.0, 0.0, 1, 0).components == {}
@@ -287,3 +298,63 @@ class TestEdeg:
         assert one == two
         assert one.components == two.components
         assert all(c.seed == 3 for c in one.components.values())
+
+
+class TestEllipke:
+    @pytest.mark.parametrize("m", [0.0, 1 - 1e-12, *np.random.default_rng(
+        51).random(20)])
+    def test_matches_mpmath(self, m):
+        mpmath = pytest.importorskip("mpmath")
+        e, k = sb._ellipke(np.array([m]))
+        assert e[0] == pytest.approx(float(mpmath.ellipe(m)), rel=1e-14)
+        assert k[0] == pytest.approx(float(mpmath.ellipk(m)), rel=1e-14)
+
+    def test_m_one(self):
+        e, k = sb._ellipke(np.array([0.5, 1.0]))
+        assert e[1] == 1.0 and k[1] == math.inf
+        assert math.isfinite(k[0])
+
+
+def circle_abs_mean(*c):
+    """The kernel at one matrix C, given by its four entries."""
+    return float(sb._circle_abs_mean(*(np.array([x]) for x in c))[0])
+
+
+class TestCircleAbsMean:
+    """E|q^T C r| over independent uniform unit vectors q and r of R^2."""
+
+    def test_zero(self):
+        assert circle_abs_mean(0.0, 0.0, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("c", [(1.0, 2.0, 2.0, 4.0), (0.0, 3.0, 0.0, 0.5),
+                                   (2.0, 0.0, 0.0, 0.0)])
+    def test_singular(self, c):
+        # det C = 0: 8 A / pi^2 with A = |C|_F / 2
+        a = math.sqrt(sum(x * x for x in c)) / 2
+        assert circle_abs_mean(*c) == pytest.approx(8 * a / math.pi ** 2,
+                                                    rel=1e-15)
+
+    def test_scalar_multiple_of_rotation(self):
+        # C = 3 R_t gives 3 |cos|, whose mean is 6 / pi: m = 0
+        t = 0.7
+        c = 3 * math.cos(t), -3 * math.sin(t), 3 * math.sin(t), 3 * math.cos(t)
+        assert circle_abs_mean(*c) == pytest.approx(6 / math.pi, rel=1e-14)
+
+    def test_broadcasts(self):
+        w = np.random.default_rng(53).standard_normal((3, 50))
+        got = sb._circle_abs_mean(0.0, *w)
+        assert got.shape == (50,)
+        assert got.tolist() == pytest.approx(
+            [circle_abs_mean(0.0, *col) for col in w.T], rel=1e-15)
+
+    @pytest.mark.parametrize("c", [(0.0, 1.3, -0.4, 0.9),
+                                   (0.8, -0.2, 0.5, 1.1),
+                                   (-2.0, 0.3, 0.7, 0.05)])
+    def test_matches_brute_force(self, c):
+        rng = np.random.default_rng(52)
+        x, y = 2 * math.pi * rng.random((2, 10 ** 6))
+        vals = np.abs(c[0] * np.cos(x) * np.cos(y) + c[1] * np.cos(x) * np.sin(y)
+                      + c[2] * np.sin(x) * np.cos(y)
+                      + c[3] * np.sin(x) * np.sin(y))
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - circle_abs_mean(*c)) < 4 * se

@@ -61,10 +61,6 @@ def _common_flags(p):
     p.add_argument("--output", default=None, help="output path (default stdout)")
 
 
-def _frac(x):
-    return str(Fraction(x))
-
-
 def _ring_to_json(e):
     """Rational coefficients and a common "pi_scale" pi^e (left out when e
     is 0) if all terms share e; else lists of {"coeff", "pi_exp"} terms."""
@@ -73,7 +69,7 @@ def _ring_to_json(e):
     monomials = {}
     for (d, j), c in sorted(e.coeffs.items()):
         if scale is not None:
-            value = _frac((c / scale).rational())
+            value = (c / scale).rational()
         else:
             value = c.to_json() if len(c.terms) > 1 else [c.to_json()]
         monomials[f"s^{j}*t^{d - 2 * j}"] = value
@@ -106,7 +102,7 @@ def cmd_cpn(args):
         f_n, f_n1 = cpn_ring.relations(n)
         def fmt(rel):
             return {
-                "st": {f"s^{j}*t^{i}": _frac(c)
+                "st": {f"s^{j}*t^{i}": c
                        for (j, i), c in sorted(rel["st"].items())},
                 "beta_gamma": {f"gamma^{j}*beta^{i}": c.to_json()
                                for (j, i), c in sorted(rel["beta_gamma"].items())},
@@ -123,8 +119,8 @@ def cmd_cpn(args):
         via_ring = cpn_ring.self_intersection_via_ring(n, Fraction(args.d),
                                                        Fraction(args.delta))
         return {"n": n, "d": args.d, "delta": args.delta,
-                "expected_count": _frac(closed),
-                "via_ring": _frac(via_ring),
+                "expected_count": closed,
+                "via_ring": via_ring,
                 "agree": closed == via_ring}
     if args.action == "tasaki":
         closed = cpn_ring.tasaki_kernel_d2(n, args.x, args.y)
@@ -264,8 +260,6 @@ def cmd_sphere(args):
 
 
 def _num(x):
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float) and not math.isfinite(x):
         # JSON has no inf or nan
         raise ArithmeticError(f"{x} is not a finite number (float overflow)")
@@ -279,6 +273,7 @@ def _emit(args, report):
     if args.format == "csv":
         text = _to_csv(report)
     else:
+        # default=str writes an exact Fraction as "p/q", as the CSV writer does
         text = json.dumps(report, indent=2, default=str) + "\n"
     if args.output:
         with open(args.output, "w") as fh:

@@ -37,8 +37,6 @@ def j_set(n, d):
 
 def dimension(n, d):
     """Dimension of the degree-d graded piece."""
-    if d < 0 or d > 2 * n:
-        return 0
     return len(j_set(n, d))
 
 
@@ -61,19 +59,6 @@ def monomial_length_st(n, j, i):
     return monomial_length(n, j, i) * _PI_2_3 ** (j - i)
 
 
-def hankel_matrix(n, d):
-    """Integer Hankel matrix pairing degree-d basis monomials with complements.
-
-    Entry (j1, j2) is binom(2(n-j1-j2), n-j1-j2), i.e. the rational part
-    of the full-degree length l(s^(j1+j2) t^(2n-2j1-2j2)) / (pi^(-n/3) n!).
-    """
-    if d < 0 or d > n:
-        raise ValueError("need 0 <= d <= n")
-    js = j_set(n, d)
-    return [[math.comb(2 * (n - a - b), n - a - b) if a + b <= n else 0
-             for b in js] for a in js]
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def reduce_monomial(n, big_j, tpow):
     """Express the raw monomial s^big_j t^tpow in the basis of its degree
@@ -82,7 +67,8 @@ def reduce_monomial(n, big_j, tpow):
     Outside the basis (J = big_j >= K = dimension(n, d)), the c_j of
     s^j t^(d-2j) match lengths with every monomial of degree 2n - d: for
     k < K, sum_j c_j binom(2(n-j-k), n-j-k) = binom(2(n-J-k), n-J-k), a
-    system on hankel_matrix(n, 2n - d).  With b = 2(n - K) + 1 it solves to
+    system on the integer Hankel matrix of central binomials pairing the
+    degree-(2n - d) basis with itself.  With b = 2(n - K) + 1 it solves to
         c_0 = -prod_(i<K) (i-n)(i+1) / (2(i-K)(2i-b))
               * prod_(K<=i<J) i(i-n) / (2(i-K+1)(2i-b)),
         c_(j+1) = c_j 2(j-J)(2j-b)(j-K+1) / ((j-n)(j+1)(j-J+1)),
@@ -487,8 +473,8 @@ def omega_norm_sq(n, k):
 
 __all__ = [
     "RingElement", "class_codim2", "codim2_coeffs", "dimension",
-    "f_k", "hankel_matrix", "intersection_number", "j_set", "length",
-    "length_by_degree", "mc_tasaki_kernel_d2", "monomial_length",
+    "f_k", "intersection_number", "j_set", "length", "length_by_degree",
+    "mc_tasaki_kernel_d2", "monomial_length",
     "monomial_length_st", "multiply", "omega_element", "omega_norm_sq",
     "reduce_monomial", "relation_beta_gamma", "relation_st",
     "relations", "self_intersection_codim2", "self_intersection_via_ring",

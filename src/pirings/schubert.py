@@ -93,67 +93,41 @@ def dual(lam, k, m):
     return YoungDiagram([m - lam[k - 1 - i] for i in range(k)])
 
 
-def _lr_fillings(outer, inner, content):
-    """Count LR skew tableaux of shape outer/inner with the given content.
-
-    Fillings are column-strict down, weakly increasing along rows, and
-    the reverse reading word is a lattice word.
-    """
-    rows = len(outer)
-    cells = [(i, j) for i in range(rows)
-             for j in range(inner[i] if i < len(inner) else 0, outer[i])]
-    # reading order: rows top to bottom, right to left, so the lattice
-    # condition can be checked incrementally
-    cells.sort(key=lambda c: (c[0], -c[1]))
-    nvals = len(content)
-    remaining = list(content)
-    grid = {}
-    count = 0
-
-    def place(pos, counts):
-        nonlocal count
-        if pos == len(cells):
-            count += 1
-            return
-        i, j = cells[pos]
-        for v in range(nvals):
-            if remaining[v] == 0:
-                continue
-            # lattice word: value v+1 may not outnumber value v so far
-            if v > 0 and counts[v] + 1 > counts[v - 1]:
-                continue
-            left = grid.get((i, j + 1))  # right neighbour, read earlier
-            if left is not None and v > left:
-                continue
-            up = grid.get((i - 1, j))
-            if up is not None and v <= up:
-                continue
-            grid[(i, j)] = v
-            remaining[v] -= 1
-            counts[v] += 1
-            place(pos + 1, counts)
-            counts[v] -= 1
-            remaining[v] += 1
-            del grid[(i, j)]
-
-    place(0, [0] * nvals)
-    return count
-
-
 def lr_coefficients(lam, mu):
-    """Littlewood-Richardson table: nu -> c^nu_{lam, mu}, by tableau count."""
+    """Littlewood-Richardson table: nu -> c^nu_{lam, mu}, one count per LR
+    tableau of shape nu/lam and content mu, built value by value.
+
+    The boxes of value v = 1, 2, ... extend the shape by a horizontal strip
+    of mu_v boxes, chosen row by row from the top: row r gains at most
+    shape[r-1] - shape[r] boxes.  The reverse reading word is a lattice
+    word exactly when, down to each row, the v's number at most the
+    (v-1)'s in the rows above it (Fulton, Young Tableaux, ch. 5).
+    """
     lam, mu = as_diagram(lam), as_diagram(mu)
-    total = lam.size + mu.size
-    rows_max = len(lam) + len(mu)
-    cols_max = lam[0] + mu[0] if total else 0
     table = {}
-    for nu_parts in _partitions(total, rows_max, cols_max):
-        nu = YoungDiagram(nu_parts)
-        if not lam <= nu:
-            continue
-        c = _lr_fillings(nu.parts, lam.parts, mu.parts)
-        if c:
-            table[nu] = c
+
+    def add(v, shape, gained):
+        """Place the values v+1.. on shape; gained[r] counts row r's v's."""
+        if v == len(mu):
+            nu = YoungDiagram(shape)
+            table[nu] = table.get(nu, 0) + 1
+            return
+        old, prev = shape + (0,), gained + (0,)
+
+        def strip(r, rows, left, room):
+            # room: the v's in the rows above r less the (v+1)'s there
+            if not left:
+                new = tuple(p for p in rows + old[r:] if p)
+                add(v + 1, new, tuple(a - b for a, b in zip(new, old)))
+            elif r < len(old):
+                most = min(left, room, old[r - 1] - old[r] if r else left)
+                for a in range(most + 1):
+                    strip(r + 1, rows + (old[r] + a,), left - a,
+                          room - a + prev[r])
+
+        strip(0, (), mu[v], 0 if v else mu[0])  # the 1's have no bound
+
+    add(0, lam.parts, (0,) * len(lam))
     return table
 
 

@@ -109,12 +109,17 @@ def pairing(a, b):
         raise ValueError("degree mismatch")
     a_inexact, a_den, a_atoms = _canonical(a)
     b_inexact, b_den, b_atoms = _canonical(b)
-    b_terms = _walk([(b_atoms, 1)], b.ambient_dim)
-    total = sum((wa * wb * abs(dot(pa, pb))
-                 for wa, _, pa in _walk([(a_atoms, 1)], a.ambient_dim)
-                 for wb, _, pb in b_terms), start=0)
+    total = _paired([(a_atoms, 1)], [(b_atoms, 1)], a.ambient_dim)
     return rounded(total * Fraction(1, a_den * b_den),
                    a_inexact or b_inexact)
+
+
+def _paired(groups, other, n):
+    """The exact int sum of W W' |<p, p'>| over the engine's terms (W, p)
+    of the product of groups and (W', p') of that of other."""
+    other_terms = _walk(other, n)
+    return sum((w * wo * abs(dot(p, po)) for w, _, p in _walk(groups, n)
+                for wo, _, po in other_terms), start=0)
 
 
 def _primitive(f):
@@ -321,10 +326,7 @@ def crofton_evaluate(L, K):
     n, d = L.ambient_dim, L.degree
     k_inexact, scale, groups = _grouped([K] * d)
     l_inexact, l_den, l_atoms = _canonical(L)
-    l_terms = _walk([(l_atoms, 1)], n)
-    value = scale * sum((w * wl * abs(dot(minors, pl))
-                         for w, _, minors in _walk(groups, n)
-                         for wl, _, pl in l_terms), start=0)
+    value = scale * _paired(groups, [(l_atoms, 1)], n)
     # the d! orderings in the scale cancel the 1/d! of the valuation; at
     # d = 0 the scale is the int 1, and a sum of int weights stays an int
     den = l_den * math.factorial(d)

@@ -62,7 +62,9 @@ def test_criterion_04_dimension_and_hankel():
             assert cp.dimension(n, d) == 1 + min(d // 2, (2 * n - d) // 2)
     for n in range(1, 11):
         for d in range(n + 1):
-            mat = cp.hankel_matrix(n, d)
+            js = cp.j_set(n, d)  # the Hankel matrix of central binomials
+            mat = [[math.comb(2 * (n - a - b), n - a - b) for b in js]
+                   for a in js]
             for k in range(1, len(mat) + 1):
                 assert bareiss_det([row[:k] for row in mat[:k]]) > 0
 

@@ -638,8 +638,10 @@ def executed_modules(argv, cwd):
      {"exact", "exterior", "cpn_ring", "zonoid"}),
     (("schubert", "shape", "--diagrams", "1|2,1", "--samples", "100"),
      "schubert", {"exact", "exterior", "cpn_ring", "zonoid"}),
+    (("schubert", "lr", "--a", "3,2,1", "--b", "2,1"), "schubert",
+     {"exact", "exterior", "cpn_ring", "zonoid"}),
 ], ids=["help", "cpn relations", "zonoid length", "schubert edeg22",
-        "schubert shape"])
+        "schubert shape", "schubert lr"])
 def test_command_runs_only_the_modules_it_calls(tmp_path, argv, called,
                                                 skipped):
     write_inputs(tmp_path)

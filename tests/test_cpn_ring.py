@@ -17,6 +17,7 @@ class TestDimension:
         assert cp.dimension(3, 3) == 2
         assert cp.dimension(4, 4) == 3
         assert cp.dimension(2, 5) == 0
+        assert cp.dimension(2, -1) == 0
 
     def test_symmetry(self):
         for n in range(1, 9):
@@ -70,14 +71,23 @@ class TestMonomialLength:
             m *= Fraction(2 * i + 1, 2 * i + 2)
 
 
+def hankel_matrix(n, d):
+    """The integer Hankel matrix pairing the degree-d basis monomials, d <= n,
+    with their complements: entry (j1, j2) is binom(2(n-j1-j2), n-j1-j2),
+    the rational part of l(s^(j1+j2) t^(2n-2j1-2j2)) / (pi^(-n/3) n!).
+    The reductions solve the system on it: the oracle of reduce_monomial."""
+    js = cp.j_set(n, d)
+    return [[math.comb(2 * (n - a - b), n - a - b) for b in js] for a in js]
+
+
 class TestHankel:
     def test_examples(self):
-        assert cp.hankel_matrix(2, 2) == [[6, 2], [2, 1]]
-        assert cp.hankel_matrix(1, 1) == [[2]]
+        assert hankel_matrix(2, 2) == [[6, 2], [2, 1]]
+        assert hankel_matrix(1, 1) == [[2]]
 
     def test_positive_definite_minors(self):
         for n in range(1, 11):
-            mat = cp.hankel_matrix(n, n)
+            mat = hankel_matrix(n, n)
             for k in range(1, len(mat) + 1):
                 minor = [row[:k] for row in mat[:k]]
                 assert bareiss_det(minor) > 0
@@ -92,7 +102,7 @@ def cramer_reduce(n, big_j, tpow):
     if big_j in js:
         return {big_j: Fraction(1)}
     comp = 2 * n - d
-    mat = cp.hankel_matrix(n, comp)
+    mat = hankel_matrix(n, comp)
     rhs = [math.comb(2 * (n - big_j - k), n - big_j - k)
            if big_j + k <= n else 0 for k in cp.j_set(n, comp)]
     det = bareiss_det(mat)
@@ -113,7 +123,7 @@ def solved_reductions(n, d):
     big_js = range(len(js), d // 2 + 1)
     rhs = [[math.comb(2 * (n - big_j - k), n - big_j - k) for big_j in big_js]
            for k in cp.j_set(n, comp)]
-    det, y = bareiss_solve(cp.hankel_matrix(n, comp), rhs)
+    det, y = bareiss_solve(hankel_matrix(n, comp), rhs)
     return {big_j: {j: Fraction(row[c], det) for j, row in zip(js, y) if row[c]}
             for c, big_j in enumerate(big_js)}
 

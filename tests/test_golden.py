@@ -1,5 +1,5 @@
-"""Byte-for-byte stdout of the exact `cpn` and `sphere` commands and of
-two `schubert spans` checks.
+"""Byte-for-byte stdout of the exact `cpn` and `sphere` commands, of three
+`schubert lr` tables and of two `schubert spans` checks.
 
 tests/data/golden_cli.json maps each command line to the stdout it
 printed when the file was made.  The exact coefficient type may change

@@ -46,6 +46,75 @@ class TestYoungDiagram:
         assert sb.dual((), 2, 3) == (3, 3)
 
 
+def diagrams_up_to(n):
+    """The diagrams of at most n boxes."""
+    return st.sampled_from([p for d in range(n + 1)
+                            for p in sb._partitions(d, d, d)])
+
+
+def lr_fillings(outer, inner, content):
+    """Count LR skew tableaux of shape outer/inner with the given content,
+    by backtracking over the cells in reverse reading order.
+
+    Fillings are column-strict down, weakly increasing along rows, and
+    the reverse reading word is a lattice word.
+    """
+    rows = len(outer)
+    cells = [(i, j) for i in range(rows)
+             for j in range(inner[i] if i < len(inner) else 0, outer[i])]
+    # reading order: rows top to bottom, right to left, so the lattice
+    # condition can be checked incrementally
+    cells.sort(key=lambda c: (c[0], -c[1]))
+    nvals = len(content)
+    remaining = list(content)
+    grid = {}
+    count = 0
+
+    def place(pos, counts):
+        nonlocal count
+        if pos == len(cells):
+            count += 1
+            return
+        i, j = cells[pos]
+        for v in range(nvals):
+            if remaining[v] == 0:
+                continue
+            # lattice word: value v+1 may not outnumber value v so far
+            if v > 0 and counts[v] + 1 > counts[v - 1]:
+                continue
+            left = grid.get((i, j + 1))  # right neighbour, read earlier
+            if left is not None and v > left:
+                continue
+            up = grid.get((i - 1, j))
+            if up is not None and v <= up:
+                continue
+            grid[(i, j)] = v
+            remaining[v] -= 1
+            counts[v] += 1
+            place(pos + 1, counts)
+            counts[v] -= 1
+            remaining[v] += 1
+            del grid[(i, j)]
+
+    place(0, [0] * nvals)
+    return count
+
+
+def searched_lr(lam, mu):
+    """The LR table by a scan of every partition nu of |lam| + |mu| that
+    contains lam, with one tableau search each: the oracle of
+    lr_coefficients."""
+    lam, mu = YoungDiagram(lam), YoungDiagram(mu)
+    total = lam.size + mu.size
+    cols_max = lam[0] + mu[0] if total else 0
+    table = {}
+    for nu_parts in sb._partitions(total, len(lam) + len(mu), cols_max):
+        nu = YoungDiagram(nu_parts)
+        if lam <= nu and (c := lr_fillings(nu.parts, lam.parts, mu.parts)):
+            table[nu] = c
+    return table
+
+
 class TestLittlewoodRichardson:
     def test_pieri_examples(self):
         assert sb.lr_coefficients((1,), (1,)) == {
@@ -78,6 +147,21 @@ class TestLittlewoodRichardson:
             table = sb.lr_coefficients(lam, mu)
             lhs = sum(c * sb.schur_dim(nu, K) for nu, c in table.items())
             assert lhs == sb.schur_dim(lam, K) * sb.schur_dim(mu, K)
+
+    def test_matches_the_tableau_search_on_all_small_pairs(self):
+        diagrams = [p for d in range(5) for p in sb._partitions(d, d, d)]
+        assert len(diagrams) == 12
+        for lam, mu in itertools.product(diagrams, repeat=2):
+            assert sb.lr_coefficients(lam, mu) == searched_lr(lam, mu), \
+                (lam, mu)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(diagrams_up_to(6), diagrams_up_to(6)))
+    @example(((3, 2, 1), (2, 1)))
+    @example(((3, 3), (2, 2, 1, 1)))
+    def test_matches_the_tableau_search(self, pair):
+        lam, mu = pair
+        assert sb.lr_coefficients(lam, mu) == searched_lr(lam, mu)
 
 
 class TestSchurDim:

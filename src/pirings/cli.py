@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 
@@ -114,10 +113,8 @@ def cmd_cpn(args):
             str(d): v.to_json()
             for d, v in cpn_ring.length_by_degree(e).items()}}
     if args.action == "selfint":
-        closed = cpn_ring.self_intersection_codim2(n, Fraction(args.d),
-                                                   Fraction(args.delta))
-        via_ring = cpn_ring.self_intersection_via_ring(n, Fraction(args.d),
-                                                       Fraction(args.delta))
+        closed = cpn_ring.self_intersection_codim2(n, args.d, args.delta)
+        via_ring = cpn_ring.self_intersection_via_ring(n, args.d, args.delta)
         return {"n": n, "d": args.d, "delta": args.delta,
                 "expected_count": closed,
                 "via_ring": via_ring,
@@ -154,10 +151,20 @@ def _diagram(flag, text, k=None, m=None):
     return tuple(parts)
 
 
+def _fraction(text):
+    """An exact rational; fractions (and decimal, which it imports) is
+    loaded only by a flag or command that reads one."""
+    from fractions import Fraction
+    return Fraction(text)
+
+
+_fraction.__name__ = "Fraction"  # argparse's "invalid Fraction value: ..."
+
+
 def _ratio(x):
     """p/q is an exact ratio; a finite decimal stays a float."""
     if "/" in x:
-        return Fraction(x)
+        return _fraction(x)
     if math.isfinite(v := float(x)):
         return v
     raise ValueError(x)
@@ -318,9 +325,10 @@ def build_parser():
     p_cpn.add_argument("--a", help="first factor (multiply)")
     p_cpn.add_argument("--b", help="second factor (multiply)")
     p_cpn.add_argument("--expr", help="ring expression (length)")
-    p_cpn.add_argument("--d", type=Fraction, default=Fraction(1),
+    # argparse passes a string default through type too
+    p_cpn.add_argument("--d", type=_fraction, default="1",
                        help="degree d_X (selfint)")
-    p_cpn.add_argument("--delta", type=Fraction, default=Fraction(0),
+    p_cpn.add_argument("--delta", type=_fraction, default="0",
                        help="angle defect Delta_X (selfint)")
     p_cpn.add_argument("--x", type=float, default=1.0)
     p_cpn.add_argument("--y", type=float, default=1.0)

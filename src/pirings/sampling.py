@@ -14,7 +14,8 @@ by).  Gaussians come from numpy's ziggurat implementation, and a Haar
 draw makes only the Gaussian columns that it returns.  A Gaussian factor
 of a wedge has no rows in the block: its residual after the other rows
 is a standard Gaussian in their orthogonal complement, so its norm is a
-chi variable, drawn as one Gamma variate per trial.
+chi variable, and two consecutive Gaussian factors together draw one
+Gamma variate per trial.
 
 numpy is imported inside the functions that build arrays, not at module
 level, so that the exact commands of the CLI that import this module
@@ -31,13 +32,17 @@ BLOCK = 1 << 13
 DEFAULT_Z = 3.0
 
 
+def _check_seed(seed):
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def substream(seed, slot, block=0):
     """Independent generator for the given (seed, slot, block) triple.
 
     Raises ValueError unless seed is a non-negative integer.
     """
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    _check_seed(seed)
     import numpy as np
     return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(int(seed), spawn_key=(slot, block))))
@@ -184,23 +189,41 @@ class GaussianSampler:
 
 
 class SchubertSampler:
-    """Random rotate of the coordinate Schubert simple vector in R^(k m).
+    """Random rotate of the coordinate Schubert simple vector in R^(k m),
+    modulo the coordinate Schubert vector of a `fixed` diagram.
 
     Draws (Q, R) Haar on O(k) x O(m) and wedges Q e_i (x) R f_j over the
-    boxes of the diagram, row-major.  Only the columns the boxes touch are
-    computed: len(parts) of Q and parts[0] of R.
+    boxes of the diagram, row-major, in the coordinates
+    (q (x) r)_(a m + b) = q_a r_b.  Only the columns the boxes touch are
+    computed: len(parts) of Q and parts[0] of R.  The coordinates of the
+    boxes (a, b) of `fixed` (none by default) are left out, so each row is
+    projected onto the orthogonal complement of the fixed diagram's span,
+    of dimension ambient_dim = k m - |fixed|: wedged with the fixed
+    vector, the rows have the norm that the projected rows have alone.
     """
 
-    def __init__(self, parts, k, m):
+    def __init__(self, parts, k, m, fixed=()):
         parts = tuple(p for p in parts if p > 0)
-        if len(parts) > k or any(p > m for p in parts):
+        fixed = tuple(p for p in fixed if p > 0)
+        if any(len(d) > k or any(p > m for p in d) for d in (parts, fixed)):
             raise ValueError("diagram does not fit the rectangle")
         self.parts = parts
         self.k = k
         self.m = m
-        self.ambient_dim = k * m
+        self.ambient_dim = k * m - sum(fixed)
         self.degree = sum(parts)
         self.boxes = [(i, j) for i, p in enumerate(parts) for j in range(p)]
+        # Row a keeps the columns from fixed[a] on.  Consecutive rows that
+        # keep the same columns are one block of the kept coordinates:
+        # (first row, end row, first column, first and end coordinate).
+        fixed += (0,) * (k - len(fixed))
+        self.runs, col = [], 0
+        for a in range(k):
+            if fixed[a] < m and (a == 0 or fixed[a] != fixed[a - 1]):
+                end = next((e for e in range(a, k) if fixed[e] != fixed[a]), k)
+                width = (end - a) * (m - fixed[a])
+                self.runs.append((a, end, fixed[a], col, col + width))
+                col += width
 
     def draw(self, rng, out):
         """Fill out, a C-contiguous (degree, N, size) block, one trial
@@ -210,10 +233,11 @@ class SchubertSampler:
         q = haar_orthogonal(self.k, rng, size, cols=len(self.parts)).T
         r = haar_orthogonal(self.m, rng, size,
                             cols=self.parts[0] if self.parts else 0).T
-        # row b of out, as a k x m matrix per trial, is q_i r_j^T
-        boxes = out.reshape(self.degree, self.k, self.m, size)
+        # row b of out holds the kept entries of the k x m matrix q_i r_j^T
         for b, (i, j) in enumerate(self.boxes):
-            np.multiply(q[i][:, None], r[j], out=boxes[b])
+            for a, end, c, lo, hi in self.runs:
+                np.multiply(q[i][a:end, None], r[j][c:], out=out[b, lo:hi]
+                            .reshape(end - a, self.m - c, size))
 
 
 class SamplerZonoid:
@@ -247,21 +271,42 @@ def block_stats(vals):
 def run_blocks(samples, seed, block_fn, workers=1):
     """Run block_fn(block_index, block_size) over all trial blocks.
 
-    block_fn returns block_stats of its samples.  The blocks are merged
-    in block order with the pairwise update of Chan, Golub and LeVeque,
-    so the result does not depend on worker count.
-    Raises ValueError unless samples and workers are at least 1.
+    block_fn returns block_stats of its samples.  With workers > 1, worker
+    w runs blocks w, w + workers, ... on its own thread (plain threads:
+    concurrent.futures would import logging), and the first exception of
+    a block, in block order, is raised here once all have stopped.  The
+    blocks are merged in block order with the pairwise update of Chan,
+    Golub and LeVeque, so the result does not depend on worker count.
+    Raises ValueError, before any block runs, unless samples and workers
+    are at least 1 and seed is a non-negative integer.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_seed(seed)
     nblocks = (samples + BLOCK - 1) // BLOCK
     sizes = [min(BLOCK, samples - b * BLOCK) for b in range(nblocks)]
     if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(block_fn, range(nblocks), sizes))
+        import threading
+        results, errors = [None] * nblocks, []
+
+        def work(first):
+            for b in range(first, nblocks, workers):
+                try:
+                    results[b] = block_fn(b, sizes[b])
+                except Exception as exc:
+                    errors.append((b, exc))
+                    return
+
+        threads = [threading.Thread(target=work, args=(w,))
+                   for w in range(min(workers, nblocks))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if errors:
+            raise min(errors, key=lambda e: e[0])[1]
     else:
         results = [block_fn(b, s) for b, s in zip(range(nblocks), sizes)]
     count, mean, m2 = 0, 0.0, 0.0
@@ -286,7 +331,11 @@ def mc_wedge_length(zs, samples, seed, workers=1):
     _gram_schmidt pass.  The residual of a Gaussian factor after the f'
     rows before it is a standard Gaussian in their orthogonal complement,
     independent of those rows, so its norm is chi with f = N - f' degrees
-    of freedom: sqrt(2 g) for g drawn from Gamma(f / 2).
+    of freedom.  The Gaussian factors go in consecutive pairs, with f and
+    f - 1 degrees of freedom: by Legendre's duplication formula,
+    chi_f chi_(f-1) has the law of a Gamma(f - 1) variate, which the
+    pair's first slot draws, and its second slot draws nothing.  An
+    unpaired last factor draws sqrt(2 g) for g from Gamma(f / 2).
     """
     zs = list(zs)
     if not zs:
@@ -303,8 +352,12 @@ def mc_wedge_length(zs, samples, seed, workers=1):
                 if isinstance(z.sampler, GaussianSampler)]
     drawn = [(slot, z) for slot, z in enumerate(zs) if slot not in gaussian]
     rows = deg - len(gaussian)
-    # slot and degrees of freedom of each Gaussian factor's chi norm
-    chis = [(slot, n - rows - k) for k, slot in enumerate(gaussian)]
+    # the t-th Gaussian factor's chi norm has n - rows - t degrees of
+    # freedom: the slot and Gamma shape of each pair and of a last factor
+    pairs = [(gaussian[t], n - rows - t - 1)
+             for t in range(0, len(gaussian) - 1, 2)]
+    single = [(gaussian[-1], (n - rows - len(gaussian) + 1) / 2)
+              ] if len(gaussian) % 2 else []
 
     def block_fn(b, size):
         block = np.empty((rows, n, size))
@@ -313,8 +366,10 @@ def mc_wedge_length(zs, samples, seed, workers=1):
             z.sampler.draw(substream(seed, slot, b), block[row:row + z.degree])
             row += z.degree
         norms = _gram_schmidt(block)[1]
-        for slot, f in chis:
-            g = substream(seed, slot, b).standard_gamma(f / 2, size)
+        for slot, shape in pairs:
+            norms *= substream(seed, slot, b).standard_gamma(shape, size)
+        for slot, shape in single:
+            g = substream(seed, slot, b).standard_gamma(shape, size)
             norms *= np.sqrt(2 * g)
         return block_stats(scale * norms)
 

@@ -169,10 +169,26 @@ def span_dim(lam, k, m):
 def mc_schubert_shape(lams, k, m, samples, seed, workers=1):
     """Monte-Carlo mean of ||h_1 v_1 ^ ... ^ h_s v_s|| over independent rotations.
 
-    Diagram i draws its rotations from slot i of the seed.
+    The norm is invariant under moving every factor by one rotation, so
+    the diagram with the most boxes (the first of them on ties) is held
+    at the identity, and the others are drawn as rotations modulo its
+    coordinate span (SchubertSampler's `fixed`): each trial has the law
+    of s independent rotations, with s - 1 of them drawn.  The drawn
+    diagrams, the nonempty ones other than the fixed one, draw on slots
+    0, 1, ... of the seed in order.  With none of them the wedge is the
+    fixed unit vector, and every sample is 1.
     """
-    zs = [SamplerZonoid(1.0, SchubertSampler(as_diagram(l).parts, k, m))
-          for l in lams]
+    lams = [as_diagram(l) for l in lams]
+    if not lams:
+        raise ValueError("mc_schubert_shape needs at least one diagram")
+    if not all(l.fits(k, m) for l in lams):
+        raise ValueError("diagram does not fit the rectangle")
+    fixed = max(range(len(lams)), key=lambda i: lams[i].size)
+    zs = [SamplerZonoid(1.0, SchubertSampler(l.parts, k, m, lams[fixed]))
+          for i, l in enumerate(lams) if i != fixed and l.size]
+    if not zs:
+        return run_blocks(samples, seed, lambda b, size: (size, 1.0, 0.0, 1.0),
+                          workers)
     return mc_wedge_length(zs, samples, seed, workers)
 
 

@@ -139,6 +139,27 @@ class TestSchubert:
                         "--d", "1", "--spans-samples", "60")
         assert data["ok"] is True
 
+    @pytest.mark.parametrize("diagrams", ["2,1", "2,1|", "|2|", ""])
+    def test_shape_with_nothing_to_draw(self, capsys, diagrams):
+        # one diagram, or others of no boxes: the wedge is a unit vector
+        data = run_json(capsys, "schubert", "shape", "--diagrams", diagrams,
+                        "--samples", "20000", "--workers", "2")
+        assert data["estimate"]["mean"] == 1.0
+        assert data["estimate"]["std_error"] == 0.0
+        assert data["max_sample"] == 1.0
+
+    @pytest.mark.parametrize("diagrams", ["2,1", "2,1|", "1|2,1"])
+    @pytest.mark.parametrize("flags, message", [
+        (("--seed", "-1"), "seed must be a non-negative integer, got -1"),
+        (("--samples", "0"), "samples must be at least 1, got 0"),
+        (("--workers", "0"), "workers must be at least 1, got 0"),
+    ])
+    def test_shape_bad_seed_or_count(self, capsys, diagrams, flags, message):
+        # with or without anything to draw
+        code, err = run_err(capsys, "schubert", "shape", "--diagrams",
+                            diagrams, "--samples", "10", *flags)
+        assert (code, err) == (1, f"error: {message}\n")
+
     def test_shape_seed_reproducible_across_workers(self, capsys):
         a = run_json(capsys, "schubert", "shape", "--diagrams", "2|2",
                      "--samples", "20000", "--seed", "9", "--workers", "1")
@@ -606,8 +627,11 @@ def test_cli_import_loads_every_module(tmp_path):
 
 # The CLI registers every package module lazily: a module's body runs on
 # the first read of one of its attributes, and from then on its type is
-# the plain module type.
-_EXECUTED_PROBE = """\
+# the plain module type.  Of the standard library, fractions (with
+# decimal) is loaded only where a rational is read, and logging, which
+# concurrent.futures would import, not by run_blocks's worker threads.
+_STDLIB_PROBED = ("fractions", "decimal", "logging")
+_EXECUTED_PROBE = f"""\
 import sys, types
 from pirings.cli import main
 try:
@@ -616,32 +640,37 @@ except SystemExit as exc:
     code = exc.code
 ran = sorted(m[len("pirings."):] for m, mod in list(sys.modules.items())
              if m.startswith("pirings.") and type(mod) is types.ModuleType)
-print(f"exit={code}", *ran, file=sys.stderr)
+ran += [m for m in {_STDLIB_PROBED!r} if m in sys.modules]
+print(f"exit={{code}}", *ran, file=sys.stderr)
 """
 
 
 def executed_modules(argv, cwd):
-    """(exit code, set of the package modules whose body ran) of main(argv)
-    in a new process."""
+    """(exit code, set of the package modules whose body ran, and of the
+    _STDLIB_PROBED modules loaded) of main(argv) in a new process."""
     exit_code, *ran = fresh_python(_EXECUTED_PROBE, argv, cwd).stderr.split()
     return exit_code, set(ran)
 
 
 @pytest.mark.parametrize("argv, called, skipped", [
     (("--help",), "cli", {"cpn_ring", "schubert", "zonoid", "sphere_ring",
-                          "sampling", "exterior", "exact"}),
+                          "sampling", "exterior", "exact", "fractions",
+                          "decimal"}),
     (("cpn", "relations", "--n", "4"), "cpn_ring",
      {"schubert", "zonoid", "exterior"}),
     (("zonoid", "length", "-f", "square.json"), "zonoid",
      {"cpn_ring", "sampling", "schubert"}),
     (("schubert", "edeg22", "--samples", "100"), "schubert",
-     {"exact", "exterior", "cpn_ring", "zonoid"}),
+     {"exact", "exterior", "cpn_ring", "zonoid", "fractions", "decimal"}),
     (("schubert", "shape", "--diagrams", "1|2,1", "--samples", "100"),
-     "schubert", {"exact", "exterior", "cpn_ring", "zonoid"}),
+     "schubert", {"exact", "exterior", "cpn_ring", "zonoid", "fractions",
+                  "decimal"}),
     (("schubert", "lr", "--a", "3,2,1", "--b", "2,1"), "schubert",
      {"exact", "exterior", "cpn_ring", "zonoid"}),
+    (("schubert", "edeg22", "--samples", "20000", "--workers", "2"),
+     "schubert", {"fractions", "decimal", "logging"}),
 ], ids=["help", "cpn relations", "zonoid length", "schubert edeg22",
-        "schubert shape", "schubert lr"])
+        "schubert shape", "schubert lr", "schubert edeg22 workers 2"])
 def test_command_runs_only_the_modules_it_calls(tmp_path, argv, called,
                                                 skipped):
     write_inputs(tmp_path)

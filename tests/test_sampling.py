@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+import sys
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -274,6 +275,31 @@ class TestSchubertSampler:
     def test_diagram_must_fit(self):
         with pytest.raises(ValueError):
             sp.SchubertSampler((3,), 2, 2)
+        with pytest.raises(ValueError, match="does not fit"):
+            sp.SchubertSampler((1,), 2, 2, fixed=(1, 1, 1))
+
+    @pytest.mark.parametrize("parts, k, m, fixed", [
+        ((2, 1), 3, 3, (2, 1)),
+        ((2,), 2, 2, (2,)),
+        ((1,), 2, 2, (2, 1)),
+        ((3, 1), 3, 3, (3, 3, 1)),
+        ((2, 2), 3, 4, (4, 1, 1)),
+        ((1, 1), 2, 3, ()),
+    ])
+    def test_fixed_drops_its_coordinates(self, parts, k, m, fixed):
+        # the same draw as without a fixed diagram, restricted to the
+        # coordinates a m + b with b >= fixed[a]
+        size = 50
+        full = sp.SchubertSampler(parts, k, m)
+        projected = sp.SchubertSampler(parts, k, m, fixed)
+        kept = [a * m + b for a in range(k) for b in range(m)
+                if b >= (fixed[a] if a < len(fixed) else 0)]
+        assert projected.ambient_dim == len(kept) == k * m - sum(fixed)
+        a = np.empty((full.degree, k * m, size))
+        b = np.empty((full.degree, len(kept), size))
+        full.draw(sp.substream(3, 0), a)
+        projected.draw(sp.substream(3, 0), b)
+        assert np.array_equal(a[:, kept], b)
 
 
 class TestRunBlocks:
@@ -289,6 +315,44 @@ class TestRunBlocks:
         with pytest.raises(ValueError, match="must be at least 1"):
             sp.run_blocks(samples, 0, block_fn, workers)
         assert calls == []
+
+    def test_seed_checked_before_any_block(self):
+        calls = []
+
+        def block_fn(b, size):
+            calls.append(b)
+            return size, 0.0, 0.0, 0.0
+
+        for seed in (-1, 1.5):
+            with pytest.raises(ValueError, match="seed must be a non-neg"):
+                sp.run_blocks(10, seed, block_fn)
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_threads_raise_the_first_failing_block(self, workers):
+        def block_fn(b, size):
+            if b in (1, 3):
+                raise ArithmeticError(f"block {b}")
+            return sp.block_stats(np.full(size, float(b)))
+
+        with pytest.raises(ArithmeticError, match="block 1"):
+            sp.run_blocks(5 * sp.BLOCK, 0, block_fn, workers)
+
+    def test_threads_fill_every_block_under_contention(self):
+        # more workers than cores, switching threads as often as possible:
+        # a lost or misplaced block result would change the estimate
+        def block_fn(b, size):
+            return sp.block_stats(sp.substream(4, 0, b).random(size) + b)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sp.run_blocks(40 * sp.BLOCK, 4, block_fn, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        serial = sp.run_blocks(40 * sp.BLOCK, 4, block_fn)
+        assert threaded == serial
+        assert threaded.max_value == serial.max_value
 
     def test_standard_error_with_large_offset(self):
         # sum(x^2) - n mean^2 cancels to 0 here; the merged block M2 does not
@@ -469,18 +533,29 @@ class TestChiNorms:
 
         monkeypatch.setattr(sp, "substream", recording)
         size = 100
-        est = sp.mc_wedge_length([sp.gaussian_ball(5)] * 2, size, seed=9)
-        assert [slot for slot, _ in drawn] == [0, 1]
-        # chi_5 and then chi_4, each sqrt(2 g) with g ~ Gamma(f / 2)
-        want = 2 * math.pi * np.sqrt(
-            2 * substream(9, 0).standard_gamma(2.5, size)) * np.sqrt(
-            2 * substream(9, 1).standard_gamma(2.0, size))
+        est = sp.mc_wedge_length([sp.gaussian_ball(5)] * 3, size, seed=9)
+        # the pair (chi_5, chi_4) draws on its first slot, the unpaired
+        # chi_3 on its own; the pair's second slot draws nothing
+        assert [slot for slot, _ in drawn] == [0, 2]
+        # chi_5 chi_4 as one g ~ Gamma(4), and chi_3 as sqrt(2 g) with
+        # g ~ Gamma(3 / 2)
+        want = (2 * math.pi) ** 1.5 * substream(9, 0).standard_gamma(
+            4.0, size) * np.sqrt(2 * substream(9, 2).standard_gamma(1.5, size))
         assert est.mean == pytest.approx(want.mean(), rel=1e-14)
         # and nothing else: each stream goes on with its (size + 1)-th variate
         for slot, rng in drawn:
-            shape = (5 - slot) / 2
+            shape = {0: 4.0, 2: 1.5}[slot]
             assert rng.standard_gamma(shape) == substream(
                 9, slot).standard_gamma(shape, size + 1)[-1]
+
+    @pytest.mark.parametrize("f", range(1, 7))
+    def test_chi_pair_is_gamma(self, f):
+        # Legendre's duplication formula: chi_f chi_(f+1) ~ Gamma(f), the
+        # law each pair of Gaussian factors draws
+        rng = np.random.default_rng(40 + f)
+        chi2 = rng.chisquare(f, 20000) * rng.chisquare(f + 1, 20000)
+        product = np.sqrt(chi2)
+        assert stats.kstest(product, stats.gamma(f).cdf).pvalue > 1e-3
 
 
 class TestMcPairing:

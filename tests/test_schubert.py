@@ -209,6 +209,14 @@ class TestDuality:
         assert pairs == 104
 
 
+def all_random_shape(lams, k, m, samples, seed):
+    """The shape estimator with every diagram rotated, none held fixed:
+    diagram i draws on slot i.  The oracle of mc_schubert_shape."""
+    zs = [sp.SamplerZonoid(1.0, sp.SchubertSampler(sb.as_diagram(l).parts,
+                                                   k, m)) for l in lams]
+    return sp.mc_wedge_length(zs, samples, seed)
+
+
 class TestShapes:
     def test_box_with_dual(self):
         est = sb.mc_schubert_shape([(1,), (2, 1)], 2, 2, 100000, seed=0)
@@ -222,6 +230,8 @@ class TestShapes:
     def test_non_dual_vanishes_samplewise(self):
         est = sb.mc_schubert_shape([(2,), (1, 1)], 2, 2, 20000, seed=2)
         assert est.max_value < 1e-10
+        oracle = all_random_shape([(2,), (1, 1)], 2, 2, 20000, seed=2)
+        assert oracle.max_value < 1e-10
 
     @pytest.mark.parametrize("lams, expect, seed", [
         ([(1, 1), (1, 1)], 0.5, 11),
@@ -234,6 +244,48 @@ class TestShapes:
         # docstring of edeg22_calibrated
         est = sb.mc_schubert_shape(lams, 2, 2, 400000, seed=seed)
         assert abs(est.mean - expect) < 4 * est.std_error
+
+    @pytest.mark.parametrize("lams, k, m, seed", [
+        ([(1, 1), (1, 1)], 2, 2, 31),
+        ([(2,), (2,)], 2, 2, 32),
+        ([(1, 1), (1,), (1,)], 2, 2, 33),
+        ([(2,), (1,), (1,)], 2, 2, 34),
+        ([(1,), (2, 1), (1, 1)], 3, 3, 35),
+        ([(1,), (2,), (2, 2), (1,)], 3, 3, 36),
+        ([(1,), (2,), (3, 1), (1,)], 3, 3, 37),
+    ], ids=["D11", "D22", "D3", "D4", "3x3 fixed second", "3x3 fixed third",
+            "3x3 4 factors"])
+    def test_matches_all_random_rotations(self, lams, k, m, seed):
+        est = sb.mc_schubert_shape(lams, k, m, 100000, seed=seed)
+        oracle = all_random_shape(lams, k, m, 100000, seed=seed + 100)
+        se = math.hypot(est.std_error, oracle.std_error)
+        assert abs(est.mean - oracle.mean) < 4 * se
+
+    def test_draws_all_but_the_largest_diagram(self, monkeypatch):
+        used = []
+        substream = sp.substream
+
+        def recording(seed, slot, block=0):
+            used.append((slot, block))
+            return substream(seed, slot, block)
+
+        monkeypatch.setattr(sp, "substream", recording)
+        # (2, 1) is held fixed (the first of the largest); the nonempty
+        # others draw on slots 0, 1, 2 in order, the empty one not at all
+        lams = [(1,), (2, 1), (), (1, 1), (2, 1)]
+        est = sb.mc_schubert_shape(lams, 3, 3, 100, seed=3)
+        assert used == [(0, 0), (1, 0), (2, 0)]
+        zs = [sp.SamplerZonoid(1.0, sp.SchubertSampler(l, 3, 3, (2, 1)))
+              for l in [(1,), (1, 1), (2, 1)]]
+        assert est == sp.mc_wedge_length(zs, 100, seed=3)
+
+    def test_diagrams_checked(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            sb.mc_schubert_shape([(3,)], 2, 2, 10, seed=0)
+        with pytest.raises(ValueError, match="degree overflow"):
+            sb.mc_schubert_shape([(2, 2), (1,)], 2, 2, 10, seed=0)
+        with pytest.raises(ValueError, match="at least one diagram"):
+            sb.mc_schubert_shape([], 2, 2, 10, seed=0)
 
     def test_permutation_invariance(self):
         a = sb.mc_schubert_shape([(2,), (1,), (1,)], 2, 2, 100000, seed=3)

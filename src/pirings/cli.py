@@ -63,18 +63,15 @@ def _common_flags(p):
 def _ring_to_json(e):
     """Rational coefficients and a common "pi_scale" pi^e (left out when e
     is 0) if all terms share e; else lists of {"coeff", "pi_exp"} terms."""
-    exps = {pi_exp for c in e.coeffs.values() for pi_exp in c.terms}
-    scale = exact.PiScalar(1, exps.pop()) if len(exps) == 1 else None
-    monomials = {}
-    for (d, j), c in sorted(e.coeffs.items()):
-        if scale is not None:
-            value = (c / scale).rational()
-        else:
-            value = c.to_json() if len(c.terms) > 1 else [c.to_json()]
-        monomials[f"s^{j}*t^{d - 2 * j}"] = value
-    out = {"n": e.n, "monomials": monomials}
-    if scale is not None and scale != 1:
-        out["pi_scale"] = scale.to_json()
+    terms = {f"s^{j}*t^{d - 2 * j}": c.to_json()
+             for (d, j), c in sorted(e.coeffs.items())}
+    lists = {m: t if isinstance(t, list) else [t] for m, t in terms.items()}
+    exps = {term.get("pi_exp") for ts in lists.values() for term in ts}
+    if len(exps) != 1:
+        return {"n": e.n, "monomials": lists}
+    out = {"n": e.n, "monomials": {m: t["coeff"] for m, t in terms.items()}}
+    if (pi_exp := exps.pop()) is not None:
+        out["pi_scale"] = {"coeff": "1", "pi_exp": pi_exp}
     return out
 
 
@@ -135,7 +132,7 @@ def _read(flag, text, read, what="comma-separated integers"):
     flag, what it takes and the text."""
     try:
         return [read(x) for x in text.split(",")]
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise ValueError(f"{flag} must be {what}, got {text!r}") from None
 
 
@@ -155,7 +152,10 @@ def _fraction(text):
     """An exact rational; fractions (and decimal, which it imports) is
     loaded only by a flag or command that reads one."""
     from fractions import Fraction
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # argparse reports only ValueError and TypeError
+        raise ValueError(text) from None
 
 
 _fraction.__name__ = "Fraction"  # argparse's "invalid Fraction value: ..."
@@ -379,8 +379,7 @@ def main(argv=None):
         if not 0 < args.z < math.inf:
             raise ValueError(f"--z must be finite and > 0, got {args.z}")
         _emit(args, DISPATCH[args.command](args))
-    except (ValueError, OSError, KeyError, ZeroDivisionError,
-            ArithmeticError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -3,7 +3,7 @@
 Everything in here is exact: fractions.Fraction, or Python ints inside
 the fraction-free eliminations; a float is read by its binary value.
 Scalars that involve powers of pi are PiScalars: finite sums of rational
-multiples of pi**e, with e rational.
+multiples of pi**e, with e a multiple of 1/6.
 """
 
 import contextlib
@@ -177,8 +177,7 @@ def gamma_half(two_k):
     if two_k <= 0:
         raise ValueError("argument must be positive")
     if two_k % 2 == 0:
-        k = two_k // 2
-        return PiScalar(math.factorial(k - 1), 0)
+        return PiScalar(math.factorial(two_k // 2 - 1))
     # Gamma(k + 1/2) = (2k)! / (4^k k!) sqrt(pi)
     k = (two_k - 1) // 2
     coeff = Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
@@ -188,40 +187,40 @@ def gamma_half(two_k):
 class PiScalar:
     """A finite sum of rational multiples of powers of pi.
 
-    terms maps each exponent e (a multiple of 1/6 in practice) to the
-    nonzero Fraction coefficient of pi**e.  pi is transcendental, so this
-    normal form is unique and == is exact.  PiScalar(coeff, pi_exp) is one
-    term.  Division and negative powers need a single-term divisor or
-    base.  Arithmetic with a float gives a float, and == with a float
-    compares like Fraction == float.
+    terms maps 6e, an int, to the nonzero Fraction coefficient of pi**e;
+    no other module reads it.  pi is transcendental, so this normal form
+    is unique and == is exact.  PiScalar(coeff, pi_exp) is one term, and
+    ValueError unless pi_exp is exactly a multiple of 1/6.  Division and
+    negative powers need a single-term divisor or base.  Arithmetic with a
+    float gives a float, and == with a float compares like Fraction == float.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, coeff, pi_exp=0):
+        six_e = 6 * pi_exp if type(pi_exp) is int else 6 * Fraction(pi_exp)
+        if six_e.denominator != 1:
+            raise ValueError(f"pi exponent {pi_exp!r} is not a multiple of 1/6")
         coeff = Fraction(coeff)
-        self.terms = {Fraction(pi_exp): coeff} if coeff else {}
+        self.terms = {int(six_e): coeff} if coeff else {}
 
     @classmethod
     def _sum(cls, pairs):
-        """The sum of c * pi**e over the (e, c) pairs."""
+        """The sum of c * pi**(k/6) over the (k, c) pairs."""
         terms = {}
-        for e, c in pairs:
-            old = terms.get(e)
-            terms[e] = c if old is None else old + c
+        for k, c in pairs:
+            terms[k] = terms[k] + c if k in terms else c
         out = cls.__new__(cls)
-        # Fraction hashes are slow: rebuild only when a term cancelled
-        out.terms = (terms if all(terms.values())
-                     else {e: c for e, c in terms.items() if c})
+        out.terms = {k: c for k, c in terms.items() if c}
         return out
 
     def __mul__(self, other):
         if isinstance(other, PiScalar):
-            return PiScalar._sum((e1 + e2, c1 * c2)
-                                 for e1, c1 in self.terms.items()
-                                 for e2, c2 in other.terms.items())
+            return PiScalar._sum((k1 + k2, c1 * c2)
+                                 for k1, c1 in self.terms.items()
+                                 for k2, c2 in other.terms.items())
         if is_exact(other):
-            return PiScalar._sum((e, c * other) for e, c in self.terms.items())
+            return PiScalar._sum((k, c * other) for k, c in self.terms.items())
         return float(self) * other
 
     __rmul__ = __mul__
@@ -258,8 +257,8 @@ class PiScalar:
             return math.prod([self] * k, start=PiScalar(1))
         if k < 0 and not self.terms:
             raise ZeroDivisionError("zero to a negative power")
-        (e, c), = self.terms.items() or [(0, Fraction(0))]
-        return PiScalar(c**k, e * k)
+        (six_e, c), = self.terms.items() or [(0, Fraction(0))]
+        return PiScalar._sum([(six_e * k, c**k)])
 
     def __eq__(self, other):
         if isinstance(other, PiScalar):
@@ -276,12 +275,12 @@ class PiScalar:
         return hash(frozenset(self.terms.items()))
 
     def __float__(self):
-        return float(sum(float(c) * math.pi ** float(e)
-                         for e, c in sorted(self.terms.items())))
+        return float(sum(float(c) * math.pi ** (k / 6)
+                         for k, c in sorted(self.terms.items())))
 
     def rational(self):
         """The value as a Fraction; ArithmeticError if a power of pi is left."""
-        if any(e != 0 for e in self.terms):
+        if any(k != 0 for k in self.terms):
             raise ArithmeticError(f"{self} is not rational")
         return self.terms.get(0, Fraction(0))
 
@@ -290,17 +289,17 @@ class PiScalar:
 
     def __str__(self):
         return " + ".join(
-            str(c) if e == 0 else f"{c} * pi^({e})"
-            for e, c in sorted(self.terms.items())) or "0"
+            str(c) if k == 0 else f"{c} * pi^({Fraction(k, 6)})"
+            for k, c in sorted(self.terms.items())) or "0"
 
     def to_json(self):
         """{"coeff": "p/q", "pi_exp": "e"} for a single term, with pi_exp
         left out when e is 0; a list of those, by exponent, for a sum."""
         if len(self.terms) > 1:
-            return [PiScalar(c, e).to_json()
-                    for e, c in sorted(self.terms.items())]
-        (e, c), = self.terms.items() or [(0, 0)]
+            return [PiScalar._sum([term]).to_json()
+                    for term in sorted(self.terms.items())]
+        (k, c), = self.terms.items() or [(0, 0)]
         out = {"coeff": str(c)}
-        if e != 0:
-            out["pi_exp"] = str(e)
+        if k != 0:
+            out["pi_exp"] = str(Fraction(k, 6))
         return out

@@ -420,8 +420,9 @@ def from_json(data):
         raise ValueError("a zonoid must be a JSON object")
     try:
         return _from_json(data)
-    except (TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed zonoid JSON: {exc}") from exc
+    except (TypeError, AttributeError, KeyError) as exc:
+        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed zonoid JSON: {what}") from exc
 
 
 def _from_json(data):
@@ -438,11 +439,12 @@ def _from_json(data):
         if v.degree != d:
             raise ValueError("atom degree mismatch")
         atoms.append((w, v))
-    center = None
-    if "center" in data and data["center"]:
-        coords = {}
-        for key, c in data["center"].items():
+    coords = {}
+    for key, c in (data.get("center") or {}).items():
+        try:
             idx = tuple(int(i) for i in key.split(",")) if key else ()
-            coords[idx] = _num_from_json(c)
-        center = ExteriorElement(n, d, coords)
-    return VirtualZonoid(n, d, atoms, center)
+        except ValueError:
+            raise ValueError(f"malformed zonoid JSON: center key {key!r} "
+                             "is not comma-separated integers") from None
+        coords[idx] = _num_from_json(c)
+    return VirtualZonoid(n, d, atoms, ExteriorElement(n, d, coords))

@@ -239,6 +239,25 @@ class TestZonoid:
                                 "not a number (use an integer, a finite "
                                 'decimal or "p/q")\n')
 
+    @pytest.mark.parametrize("data, message", [
+        ({"degree": 1}, "missing key 'ambient'"),
+        ({"ambient": 2, "atoms": []}, "missing key 'degree'"),
+        ({"ambient": 2, "degree": 1, "atoms": [{"w": 1}]}, "missing key 'v'"),
+        ({"ambient": 2, "degree": 1, "atoms": [{"v": [[1, 0]]}]},
+         "missing key 'w'"),
+        ({**SQUARE, "center": {"a": 1}},
+         "center key 'a' is not comma-separated integers"),
+        ({**SQUARE, "center": {"0,x": 1}},
+         "center key '0,x' is not comma-separated integers"),
+    ])
+    def test_malformed_zonoid_json_is_named(self, capsys, tmp_path, data,
+                                            message):
+        # a missing key printed its bare repr, a bad center key int()'s error
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, err = run_err(capsys, "zonoid", "length", "-f", str(path))
+        assert (code, err) == (1, f"error: malformed zonoid JSON: {message}\n")
+
     def test_float_overflow_exits_1(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         huge = {"ambient": 2, "degree": 1,
@@ -392,6 +411,17 @@ class TestOutputModes:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--d", "1/0"),
+                                             ("--delta", "2/0")])
+    def test_zero_denominator_is_a_usage_error(self, capsys, flag, value):
+        # Fraction raised ZeroDivisionError, which argparse does not catch
+        with pytest.raises(SystemExit) as exc:
+            main(["cpn", "selfint", "--n", "3", flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.endswith(f"error: argument {flag}: invalid Fraction "
+                            f"value: '{value}'\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -330,7 +330,8 @@ class TestPiScalar:
 
     def test_mixed_exponent_sum_is_exact(self):
         total = PiScalar(1, 1) + PiScalar(1, 2)
-        assert total.terms == {1: 1, 2: 1}
+        assert total.to_json() == [{"coeff": "1", "pi_exp": "1"},
+                                   {"coeff": "1", "pi_exp": "2"}]
         assert total - PiScalar(1, 2) == PiScalar(1, 1)
         assert total != PiScalar(2, 1)
         assert float(total) == pytest.approx(math.pi + math.pi ** 2)
@@ -387,6 +388,22 @@ class TestPiScalar:
         for k in range(7):
             assert base ** k == math.prod([base] * k, start=PiScalar(1))
 
+    @pytest.mark.parametrize("pi_exp", [Fraction(1, 5), Fraction(1, 12),
+                                        1 / 3, Fraction(-7, 4)])
+    def test_exponent_must_be_a_sixth(self, pi_exp):
+        # the float 1/3 is not 2/6 exactly, so it is refused, not rounded
+        for coeff in (1, 0):
+            with pytest.raises(ValueError, match="not a multiple of 1/6"):
+                PiScalar(coeff, pi_exp)
+
+    @pytest.mark.parametrize("pi_exp, same_as", [
+        (0.5, Fraction(1, 2)), (Fraction(7, 6), Fraction(7, 6)),
+        (-3, Fraction(-3)), (np.int64(2), Fraction(2))])
+    def test_exponent_sixths_are_accepted(self, pi_exp, same_as):
+        value = PiScalar(Fraction(2, 3), pi_exp)
+        assert value.to_json() == {"coeff": "2/3", "pi_exp": str(same_as)}
+        assert float(value) == 2 / 3 * math.pi ** float(same_as)
+
     def test_single_term_power_is_immediate(self):
         # one step, not a million PiScalar products
         assert PiScalar(2, Fraction(2, 3)) ** 1000000 == PiScalar(
@@ -436,8 +453,10 @@ pi_scalars = st.dictionaries(exponents, rationals, max_size=4).map(
 
 def magnitude(x):
     """Sum of the absolute values of the terms, a scale for float checks."""
-    return sum(abs(float(c)) * math.pi ** float(e)
-               for e, c in x.terms.items())
+    terms = x.to_json()
+    return sum(abs(float(PiScalar(Fraction(t["coeff"]),
+                                  Fraction(t.get("pi_exp", 0)))))
+               for t in (terms if isinstance(terms, list) else [terms]))
 
 
 class TestPiScalarProperties:
@@ -471,3 +490,30 @@ class TestPiScalarProperties:
         divisor = PiScalar(q, e)
         assert (a / divisor) * divisor == a
         assert divisor * divisor ** -1 == PiScalar(1)
+
+
+def by_fraction_exponent(c, e):
+    """float, str and to_json of c pi^e, computed from the Fraction e."""
+    if c == 0:
+        return 0.0, "0", {"coeff": "0"}
+    return (float(c) * math.pi ** float(e),
+            str(c) if e == 0 else f"{c} * pi^({e})",
+            {"coeff": str(c), **({"pi_exp": str(e)} if e else {})})
+
+
+def views(x):
+    return float(x), str(x), x.to_json()
+
+
+sixths = st.integers(-60, 60).map(lambda k: Fraction(k, 6))
+
+
+class TestPiScalarSixths:
+    @settings(max_examples=200, deadline=None)
+    @given(rationals, sixths, rationals, sixths, st.integers(-4, 4))
+    def test_outputs_match_the_fraction_exponent(self, c1, e1, c2, e2, k):
+        a, b = PiScalar(c1, e1), PiScalar(c2, e2)
+        assert views(a) == by_fraction_exponent(c1, e1)
+        assert views(a * b) == by_fraction_exponent(c1 * c2, e1 + e2)
+        if c1 or k >= 0:
+            assert views(a ** k) == by_fraction_exponent(c1 ** k, e1 * k)

@@ -7,6 +7,8 @@
   package itself: numpy is the only runtime dependency.
 - No module in src/pirings or tests imports a top-level name it never
   reads.
+- Only exact.py reads the attribute `terms`: how a PiScalar holds its
+  powers of pi is known to that module alone.
 - The README's Python examples run and print what their comments say.
 """
 
@@ -88,6 +90,14 @@ def test_imports_are_stdlib_numpy_or_the_package():
                 continue
             foreign += [f"{stem}: {top}" for top in tops if top not in allowed]
     assert foreign == []
+
+
+def test_only_exact_reads_piscalar_terms():
+    readers = [stem for stem, tree in parsed_modules().items()
+               if stem != "exact" and any(
+                   isinstance(node, ast.Attribute) and node.attr == "terms"
+                   for node in ast.walk(tree))]
+    assert readers == []
 
 
 def unread_imports(path):

@@ -6,7 +6,9 @@ rescaled generators t = pi^(-2/3) beta, s = pi^(2/3) gamma.  In this
 basis a monomial outside the basis reduces by a rational hypergeometric
 term in closed form (reduce_monomial), so ring arithmetic is exact and
 solves no linear system.  The powers of pi that beta and gamma bring are
-carried by the coefficients, which are PiScalars.
+carried by the coefficients, which are PiScalars.  Only the Monte-Carlo
+Tasaki estimate draws anything; it imports sampling when it is called,
+so the exact commands never load it.
 """
 
 from fractions import Fraction
@@ -16,8 +18,6 @@ import re
 from types import MappingProxyType
 
 from .exact import PiScalar
-from .sampling import (SamplerZonoid, haar_unitary_realified,
-                       mc_wedge_length)
 from .sphere_ring import ball_wedge_length
 
 _PI_2_3 = PiScalar(1, Fraction(2, 3))  # beta = pi^(2/3) t, s = pi^(2/3) gamma
@@ -408,33 +408,6 @@ def tasaki_kernel_d2(n, x, y):
     return ((1 + x) * (1 + y) + Fraction(n, n - 1) * (1 - x) * (1 - y)) / 4
 
 
-def _v_theta(x):
-    """Factor matrix of the plane spanned by e1 and cos(t) i e1 + sin(t) e2,
-    x = cos^2(t), in the first four of the interleaved real/imaginary
-    coordinates of R^(2n), which hold it."""
-    import numpy as np
-    return np.array([[1.0, 0.0, 0.0, 0.0],
-                     [0.0, math.sqrt(x), math.sqrt(1 - x), 0.0]])
-
-
-class _TasakiSampler:
-    """<h V_x, V_y> for a Haar unitary h of C^n: two rows in R^2 whose
-    wedge norm is |<h V_x, V_y>|, the 2 x 2 determinant."""
-
-    degree = ambient_dim = 2
-
-    def __init__(self, n, x, y):
-        self.n, self.vx, self.vy = n, _v_theta(x), _v_theta(y)
-
-    def draw(self, rng, out):
-        import numpy as np
-        # V_x lives in coordinates 0-2, so h acts on it through its first
-        # two complex columns; h[c, a, s] is entry a of column c in trial s
-        h = haar_unitary_realified(self.n, rng, out.shape[-1], cols=2).T
-        np.einsum("ic,jcs->ijs", self.vx,
-                  np.einsum("ja,cas->jcs", self.vy, h[:, :4]), out=out)
-
-
 def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
     """Monte-Carlo estimate of the degree-2 Tasaki kernel.
 
@@ -442,10 +415,12 @@ def mc_tasaki_kernel_d2(n, x, y, samples, seed, workers=1):
     of the two planes equals the norm of the wedge of h V_x with the
     Hodge dual of V_y.  The factor n puts the Haar expectation in the
     normalisation of the closed-form kernel (checked exactly at
-    x = y = 1, where E|<h V_1, V_1>| = 1/n and the kernel is 1).
+    x = y = 1, where E|<h V_1, V_1>| = 1/n and the kernel is 1).  The
+    trials are drawn by sampling.TasakiSampler, from the 2 x 2 corner of h.
     """
     _check_tasaki_args(n, x, y)
-    return mc_wedge_length([SamplerZonoid(n, _TasakiSampler(n, x, y))],
+    from .sampling import SamplerZonoid, TasakiSampler, mc_wedge_length
+    return mc_wedge_length([SamplerZonoid(n, TasakiSampler(n, x, y))],
                            samples, seed, workers)
 
 

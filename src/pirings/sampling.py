@@ -17,12 +17,16 @@ is a standard Gaussian in their orthogonal complement, so its norm is a
 chi variable, and two consecutive Gaussian factors together draw one
 Gamma variate per trial.
 
+The Tasaki kernel's sampler draws only the 2 x 2 corner of its Haar
+unitary, with the rest of the two Gaussian columns carried by one
+normal and two Gamma variates (_unitary_corner).
+
 numpy is imported inside the functions that build arrays, not at module
-level, so that the exact commands of the CLI that import this module
-(every `cpn` command, through cpn_ring) but draw nothing start without
-it.  Each estimator imports it, and the CLI loads every package module
-that a command calls, on the calling thread before run_blocks starts
-any worker.
+level, so that the commands of the CLI that import this module but draw
+nothing (`schubert lr`, through schubert) start without it.  Each
+estimator imports it, and the CLI loads every package module that a
+command calls, on the calling thread before run_blocks starts any
+other worker.
 """
 
 import math
@@ -194,8 +198,11 @@ class SchubertSampler:
 
     Draws (Q, R) Haar on O(k) x O(m) and wedges Q e_i (x) R f_j over the
     boxes of the diagram, row-major, in the coordinates
-    (q (x) r)_(a m + b) = q_a r_b.  Only the columns the boxes touch are
-    computed: len(parts) of Q and parts[0] of R.  The coordinates of the
+    (q (x) r)_(a m + b) = q_a r_b.  A full row (parts[i] == m) spans
+    q_i (x) R^m whatever R is, so it takes f_j in place of R f_j, which
+    changes the wedge by det R = +-1 only.  Only the columns the boxes
+    touch are computed: len(parts) of Q, and of R the first part below m
+    (none when every row is full).  The coordinates of the
     boxes (a, b) of `fixed` (none by default) are left out, so each row is
     projected onto the orthogonal complement of the fixed diagram's span,
     of dimension ambient_dim = k m - |fixed|: wedged with the fixed
@@ -210,6 +217,7 @@ class SchubertSampler:
         self.parts = parts
         self.k = k
         self.m = m
+        self.full = sum(p == m for p in parts)  # the full rows come first
         self.ambient_dim = k * m - sum(fixed)
         self.degree = sum(parts)
         self.boxes = [(i, j) for i, p in enumerate(parts) for j in range(p)]
@@ -231,13 +239,118 @@ class SchubertSampler:
         import numpy as np
         size = out.shape[-1]
         q = haar_orthogonal(self.k, rng, size, cols=len(self.parts)).T
-        r = haar_orthogonal(self.m, rng, size,
-                            cols=self.parts[0] if self.parts else 0).T
+        full = self.full
+        r = haar_orthogonal(self.m, rng, size, cols=self.parts[full]
+                            if full < len(self.parts) else 0).T
+        f = np.eye(self.m)[:, :, None]
         # row b of out holds the kept entries of the k x m matrix q_i r_j^T
         for b, (i, j) in enumerate(self.boxes):
+            r_j = f[j] if i < full else r[j]
             for a, end, c, lo, hi in self.runs:
-                np.multiply(q[i][a:end, None], r[j][c:], out=out[b, lo:hi]
+                np.multiply(q[i][a:end, None], r_j[c:], out=out[b, lo:hi]
                             .reshape(end - a, self.m - c, size))
+
+
+def _unitary_corner(n, rng, size):
+    """The 2 x 2 corner A (first two rows and columns) of size Haar
+    unitaries of U(n), n >= 2, as a batch-last (2, 4, size) array whose
+    [c] holds column c of A: the real and imaginary parts of its first
+    entry, then of its second.
+
+    A is that corner of the Gram-Schmidt Q of an n x 2 complex Gaussian G
+    (Mezzadri 2007), and each column of G is carried as its two head
+    coordinates plus what Gram-Schmidt reads of its n - 2 tail ones:
+    - the first tail t_1 only through its squared norm, 2 Gamma(n - 2);
+    - the second tail t_2 through w, its coordinate along t_1 / |t_1|,
+      and its squared norm orthogonal to t_1, 2 Gamma(n - 3).  The
+      coordinates of a Gaussian vector in a basis chosen independently
+      of it are again independent Gaussians (Edelman and Rao 2005), so w
+      is a standard complex normal.
+    With u = g_1 / |g_1|, the projection c = <u, g_2> is the head inner
+    product plus |u_tail| w, and the residual g_2 - c u has the tail
+    coordinate w - c |u_tail| along t_1, and the Gamma part besides.  The
+    heads are drawn first, as the (2, 4, size) standard normals that
+    haar_unitary_realified(2, rng, size, cols=2) draws, so at n = 2,
+    which has no tail, the two agree up to rounding.
+    """
+    import numpy as np
+    # the draws and every intermediate are rows of one array, updated in
+    # place: a block makes no other allocation, so its memory stays small
+    # and malloc reuses it from block to block
+    work = np.empty((15, size))
+    g = work[:8].reshape(2, 4, size)
+    u, a = g
+    tail, norm, c_re, c_im, tmp = work[8:13]
+    w = work[13:]
+    rng.standard_normal(out=g)
+    np.einsum("is,is->s", u, u, out=norm)
+    if n > 2:
+        rng.standard_gamma(n - 2, out=tail)
+        tail *= 2
+        norm += tail
+        rng.standard_normal(out=w)
+    np.sqrt(norm, out=norm)
+    u /= norm
+    np.einsum("is,is->s", u, a, out=c_re)
+    np.einsum("ks,ks->s", u[0::2], a[1::2], out=c_im)
+    c_im -= np.einsum("ks,ks->s", u[1::2], a[0::2], out=tmp)
+    if n > 2:
+        tail_u = np.sqrt(tail, out=tail)  # |tail of u|, over tail
+        tail_u /= norm
+        c_re += np.multiply(tail_u, w[0], out=tmp)
+        c_im += np.multiply(tail_u, w[1], out=tmp)
+        w[0] -= np.multiply(c_re, tail_u, out=tmp)
+        w[1] -= np.multiply(c_im, tail_u, out=tmp)
+    # the residual g_2 - c u, whose head is (a[0] + i a[1], a[2] + i a[3])
+    for k in (0, 2):
+        a[k] -= np.multiply(c_re, u[k], out=tmp)
+        a[k] += np.multiply(c_im, u[k + 1], out=tmp)
+        a[k + 1] -= np.multiply(c_re, u[k + 1], out=tmp)
+        a[k + 1] -= np.multiply(c_im, u[k], out=tmp)
+    np.einsum("is,is->s", a, a, out=norm)
+    if n > 2:
+        norm += np.einsum("is,is->s", w, w, out=tmp)
+    if n > 3:
+        rng.standard_gamma(n - 3, out=tmp)
+        tmp *= 2
+        norm += tmp
+    a /= np.sqrt(norm, out=norm)
+    return g
+
+
+class TasakiSampler:
+    """<h V_x, V_y> for a Haar unitary h of C^n, n >= 2: two rows in R^2
+    whose wedge norm is |<h V_x, V_y>|, the 2 x 2 determinant.
+
+    V_x spans e_1 and cos(t) i e_1 + sin(t) e_2, x = cos^2(t), so h meets
+    the planes only through its 2 x 2 corner, which is all that is drawn
+    (_unitary_corner), and the rows are written from it directly.
+    """
+
+    degree = ambient_dim = 2
+
+    def __init__(self, n, x, y):
+        self.n = n
+        self.rx, self.cx = math.sqrt(x), math.sqrt(1 - x)
+        self.ry, self.cy = math.sqrt(y), math.sqrt(1 - y)
+
+    def draw(self, rng, out):
+        import numpy as np
+        u, v = _unitary_corner(self.n, rng, out.shape[-1])
+        rx, cx, ry, cy = self.rx, self.cx, self.ry, self.cy
+        # h V_x has the rows u and rx i u + cx v for the columns u and v of
+        # h, whose heads are the corner's (u = (Re u_1, Im u_1, Re u_2,
+        # Im u_2)); row i of out is row i of h V_x in the coordinates of
+        # V_y, Re z_1 and ry Im z_1 + cy Re z_2
+        out[0, 0] = u[0]
+        np.multiply(ry, u[1], out=out[0, 1])
+        out[0, 1] += cy * u[2]
+        np.multiply(cx, v[0], out=out[1, 0])
+        out[1, 0] -= rx * u[1]
+        np.multiply(rx * ry, u[0], out=out[1, 1])
+        out[1, 1] -= rx * cy * u[3]
+        out[1, 1] += cx * ry * v[1]
+        out[1, 1] += cx * cy * v[2]
 
 
 class SamplerZonoid:
@@ -271,10 +384,11 @@ def block_stats(vals):
 def run_blocks(samples, seed, block_fn, workers=1):
     """Run block_fn(block_index, block_size) over all trial blocks.
 
-    block_fn returns block_stats of its samples.  With workers > 1, worker
-    w runs blocks w, w + workers, ... on its own thread (plain threads:
-    concurrent.futures would import logging), and the first exception of
-    a block, in block order, is raised here once all have stopped.  The
+    block_fn returns block_stats of its samples.  Worker w runs blocks
+    w, w + workers, ...: worker 0 on the calling thread, the others on
+    their own threads (plain threads: concurrent.futures would import
+    logging), so one worker starts no thread.  The first exception of a
+    block, in block order, is raised here once all have stopped.  The
     blocks are merged in block order with the pairwise update of Chan,
     Golub and LeVeque, so the result does not depend on worker count.
     Raises ValueError, before any block runs, unless samples and workers
@@ -285,30 +399,28 @@ def run_blocks(samples, seed, block_fn, workers=1):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     _check_seed(seed)
+    import threading
     nblocks = (samples + BLOCK - 1) // BLOCK
     sizes = [min(BLOCK, samples - b * BLOCK) for b in range(nblocks)]
-    if workers > 1:
-        import threading
-        results, errors = [None] * nblocks, []
+    results, errors = [None] * nblocks, []
 
-        def work(first):
-            for b in range(first, nblocks, workers):
-                try:
-                    results[b] = block_fn(b, sizes[b])
-                except Exception as exc:
-                    errors.append((b, exc))
-                    return
+    def work(first):
+        for b in range(first, nblocks, workers):
+            try:
+                results[b] = block_fn(b, sizes[b])
+            except Exception as exc:
+                errors.append((b, exc))
+                return
 
-        threads = [threading.Thread(target=work, args=(w,))
-                   for w in range(min(workers, nblocks))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise min(errors, key=lambda e: e[0])[1]
-    else:
-        results = [block_fn(b, s) for b, s in zip(range(nblocks), sizes)]
+    threads = [threading.Thread(target=work, args=(w,))
+               for w in range(1, min(workers, nblocks))]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     count, mean, m2 = 0, 0.0, 0.0
     for n_b, mean_b, m2_b, _ in results:
         total = count + n_b

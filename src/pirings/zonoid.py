@@ -432,13 +432,17 @@ def _from_json(data):
         raise ValueError("ambient and degree must be integers with "
                          "0 <= degree <= ambient")
     atoms = []
-    for a in data.get("atoms", []):
+    for i, a in enumerate(data.get("atoms", [])):
         w = _num_from_json(a["w"])
         factors = [[_num_from_json(x) for x in f] for f in a["v"]]
-        v = SimpleVector(n, factors)
-        if v.degree != d:
-            raise ValueError("atom degree mismatch")
-        atoms.append((w, v))
+        if len(factors) != d:
+            raise ValueError(f"malformed zonoid JSON: atom {i} has "
+                             f"{len(factors)} factors, not degree {d}")
+        for j, f in enumerate(factors):
+            if len(f) != n:
+                raise ValueError(f"malformed zonoid JSON: atom {i} factor {j}"
+                                 f" has length {len(f)}, not ambient {n}")
+        atoms.append((w, SimpleVector(n, factors)))
     coords = {}
     for key, c in (data.get("center") or {}).items():
         try:
@@ -446,5 +450,11 @@ def _from_json(data):
         except ValueError:
             raise ValueError(f"malformed zonoid JSON: center key {key!r} "
                              "is not comma-separated integers") from None
+        if any(not 0 <= i < n for i in idx):
+            raise ValueError(f"malformed zonoid JSON: center key {key!r} "
+                             f"has an index outside 0..{n - 1}")
+        if len(idx) != d or len(set(idx)) != d:
+            raise ValueError(f"malformed zonoid JSON: center key {key!r} "
+                             f"does not name {d} distinct indices")
         coords[idx] = _num_from_json(c)
     return VirtualZonoid(n, d, atoms, ExteriorElement(n, d, coords))

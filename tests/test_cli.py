@@ -249,10 +249,20 @@ class TestZonoid:
          "center key 'a' is not comma-separated integers"),
         ({**SQUARE, "center": {"0,x": 1}},
          "center key '0,x' is not comma-separated integers"),
+        ({**SQUARE, "center": {"5": 1}},
+         "center key '5' has an index outside 0..1"),
+        ({**SQUARE, "center": {"0,1": 1}},
+         "center key '0,1' does not name 1 distinct indices"),
+        ({"ambient": 2, "degree": 1,
+          "atoms": [{"w": 1, "v": [[1, 0]]}, {"w": 1, "v": [[1, 0], [0, 1]]}]},
+         "atom 1 has 2 factors, not degree 1"),
+        ({"ambient": 2, "degree": 1, "atoms": [{"w": 1, "v": [[1, 0, 0]]}]},
+         "atom 0 factor 0 has length 3, not ambient 2"),
     ])
     def test_malformed_zonoid_json_is_named(self, capsys, tmp_path, data,
                                             message):
-        # a missing key printed its bare repr, a bad center key int()'s error
+        # a missing key printed its bare repr, a bad center key int()'s
+        # error, and an index or length out of range named no key or atom
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code, err = run_err(capsys, "zonoid", "length", "-f", str(path))
@@ -687,7 +697,7 @@ def executed_modules(argv, cwd):
                           "sampling", "exterior", "exact", "fractions",
                           "decimal"}),
     (("cpn", "relations", "--n", "4"), "cpn_ring",
-     {"schubert", "zonoid", "exterior"}),
+     {"schubert", "zonoid", "exterior", "sampling"}),
     (("zonoid", "length", "-f", "square.json"), "zonoid",
      {"cpn_ring", "sampling", "schubert"}),
     (("schubert", "edeg22", "--samples", "100"), "schubert",
@@ -747,7 +757,7 @@ def test_tracer_leaves_no_wrapper_on_lazy_modules(tmp_path):
     out = json.loads(proc.stdout)
     assert out["missing"] == []
     assert {"pirings.exact.bareiss_det", "pirings.exterior.bareiss_det",
-            "pirings.cpn_ring.haar_unitary_realified"} <= set(out["during"])
+            "pirings.schubert.haar_orthogonal"} <= set(out["during"])
     assert out["after"] == []
 
 

@@ -535,6 +535,21 @@ class TestTasaki:
         expect = float(cp.tasaki_kernel_d2(2, Fraction(1, 2), Fraction(1, 2)))
         assert abs(est.mean - expect) < 3 * est.std_error
 
+    @pytest.mark.parametrize("n, x, y", [(3, 0.3, 0.6), (6, 0.8, 0.1)])
+    def test_mc_z_scores_are_calibrated(self, n, x, y):
+        # over independent seeds, (mean - kernel) / SE has mean 0 and
+        # spread 1: the SE of 100 z-scores' mean is 0.1, of their sample
+        # standard deviation about 0.07
+        expect = float(cp.tasaki_kernel_d2(n, Fraction(x), Fraction(y)))
+        z = []
+        for seed in range(100):
+            est = cp.mc_tasaki_kernel_d2(n, x, y, 4000, seed=1000 + seed)
+            z.append((est.mean - expect) / est.std_error)
+        mean = sum(z) / len(z)
+        spread = math.sqrt(sum((v - mean) ** 2 for v in z) / (len(z) - 1))
+        assert abs(mean) < 0.4
+        assert 0.75 < spread < 1.25
+
 
 class TestKaehler:
     def test_omega_norms(self):

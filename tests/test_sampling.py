@@ -191,6 +191,78 @@ class TestHaarMatchesQr:
                 haar(3, sp.substream(0, 0), 5, cols=cols)
 
 
+def _plane(x):
+    """Rows e_1 and sqrt(x) i e_1 + sqrt(1 - x) e_2 of the Tasaki plane
+    V_x, in the first four interleaved coordinates of R^(2n)."""
+    return np.array([[1.0, 0.0, 0.0, 0.0],
+                     [0.0, math.sqrt(x), math.sqrt(1 - x), 0.0]])
+
+
+def _realified(corner):
+    """The (size, 4, 4) realified matrices of corners (2, 4, size): the
+    columns of A e_c and A (i e_c), c = 0, 1."""
+    out = np.empty((4,) + corner.shape[1:])
+    out[0::2] = corner
+    out[1::2, 0::2], out[1::2, 1::2] = -corner[:, 1::2], corner[:, 0::2]
+    return out.T
+
+
+def _complex_corner(corner):
+    """A[s, a, c], entry a of column c of the corner of trial s."""
+    return (corner[:, 0::2] + 1j * corner[:, 1::2]).T
+
+
+class TestUnitaryCorner:
+    @pytest.mark.parametrize("size", [1, 2000])
+    def test_n2_is_the_haar_unitary(self, size):
+        # the same 8 normals per trial in the same order: the corner of
+        # U(2) is all of it
+        rng = sp.substream(22, 0)
+        corner = sp._unitary_corner(2, rng, size)
+        ref_rng = sp.substream(22, 0)
+        ref = sp.haar_unitary_realified(2, ref_rng, size, cols=2)
+        assert np.abs(_realified(corner) - ref).max() <= 1e-12
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_law(self, n):
+        # E|A_00|^2 = 1/n, E|A_00|^4 = 2/(n(n+1)) and E|det A|^2 = 1/C(n, 2),
+        # the mean square of an entry of the unitary second compound
+        a = _complex_corner(sp._unitary_corner(n, sp.substream(23, n),
+                                               200000))
+        sq = np.abs(a[:, 0, 0]) ** 2
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        for vals, want in ((sq, 1 / n), (sq * sq, 2 / (n * (n + 1))),
+                           (np.abs(det) ** 2, 2 / (n * (n - 1)))):
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(vals.mean() - want) < 4 * se
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
+    def test_is_a_contraction(self, n):
+        # A is a block of a unitary, so the eigenvalues of A* A lie in
+        # [0, 1], and at n = 2 they are all 1
+        a = _complex_corner(sp._unitary_corner(n, sp.substream(24, n), 500))
+        eig = np.linalg.eigvalsh(np.einsum("sac,sad->scd", a.conj(), a))
+        assert eig.min() >= -1e-12 and eig.max() <= 1 + 1e-12
+        if n == 2:
+            assert np.abs(eig - 1).max() <= 1e-12
+
+
+class TestTasakiSampler:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    @pytest.mark.parametrize("x, y", [(0.3, 0.6), (0.0, 1.0), (1.0, 0.0),
+                                      (0.5, 0.5), (1.0, 1.0)])
+    def test_is_the_plane_inner_product(self, n, x, y):
+        # out[i, j] = <h V_x row i, V_y row j> with h realified from the
+        # corner that the same generator draws
+        size = 300
+        out = np.empty((2, 2, size))
+        sp.TasakiSampler(n, x, y).draw(sp.substream(25, n), out)
+        h = _realified(sp._unitary_corner(n, sp.substream(25, n), size))
+        ref = np.einsum("ic,sac,ja->ijs", _plane(x), h, _plane(y))
+        assert np.abs(out - ref).max() <= 1e-12
+
+
 def _near_singular(rng, size, n):
     """Matrices whose last row is a combination of the others plus 1e-9 noise."""
     a = rng.standard_normal((size, n, n))
@@ -300,6 +372,41 @@ class TestSchubertSampler:
         full.draw(sp.substream(3, 0), a)
         projected.draw(sp.substream(3, 0), b)
         assert np.array_equal(a[:, kept], b)
+
+    @pytest.mark.parametrize("parts, k, m, fixed", [
+        ((2,), 2, 2, (2,)),
+        ((2, 1), 2, 2, ()),
+        ((2, 2), 3, 2, (1,)),
+        ((3, 3, 1), 3, 3, (1,)),
+        ((3, 1), 3, 3, (3, 2)),
+        ((4, 2, 2), 3, 4, ()),
+    ])
+    def test_full_rows_take_the_coordinate_vectors(self, parts, k, m, fixed):
+        # a full row spans q_i (x) R^m whatever R is: f_j in place of
+        # r_j there changes the wedge by det R = +-1, and the other rows
+        # read the first columns of the same R
+        size = 200
+        sampler = sp.SchubertSampler(parts, k, m, fixed)
+        new = np.empty((sampler.degree, sampler.ambient_dim, size))
+        sampler.draw(sp.substream(8, 0), new)
+        rng = sp.substream(8, 0)
+        q = sp.haar_orthogonal(k, rng, size, cols=len(parts)).T
+        r = sp.haar_orthogonal(m, rng, size, cols=parts[0]).T
+        kept = [a * m + b for a in range(k) for b in range(m)
+                if b >= (fixed[a] if a < len(fixed) else 0)]
+        old = np.stack([np.einsum("as,bs->abs", q[i], r[j])
+                        .reshape(k * m, size)[kept]
+                        for i, p in enumerate(parts) for j in range(p)])
+        assert np.abs(sp._gram_schmidt(new)[1]
+                      - sp._gram_schmidt(old)[1]).max() <= 1e-12
+
+    def test_self_dual_two_draws_one_column(self):
+        # "2|2": the drawn (2) is a full row of R^2 (x) R^2, so a trial
+        # draws one column of O(2), 2 normals, and no R
+        size = 100
+        rng = sp.substream(9, 0)
+        sp.SchubertSampler((2,), 2, 2, (2,)).draw(rng, np.empty((2, 2, size)))
+        assert rng.standard_normal() == _normals(9, 0, 2 * size)
 
 
 class TestRunBlocks:

@@ -21,16 +21,14 @@ The Tasaki kernel's sampler draws only the 2 x 2 corner of its Haar
 unitary, with the rest of the two Gaussian columns carried by one
 normal and two Gamma variates (_unitary_corner).
 
-numpy is imported inside the functions that build arrays, not at module
-level, so that the commands of the CLI that import this module but draw
-nothing (`schubert lr`, through schubert) start without it.  Each
-estimator imports it, and the CLI loads every package module that a
-command calls, on the calling thread before run_blocks starts any
-other worker.
+Only code that draws imports this module, so numpy is imported once, at
+module level: the commands that draw nothing start without it.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 BLOCK = 1 << 13
 DEFAULT_Z = 3.0
@@ -47,7 +45,6 @@ def substream(seed, slot, block=0):
     Raises ValueError unless seed is a non-negative integer.
     """
     _check_seed(seed)
-    import numpy as np
     return np.random.Generator(np.random.SFC64(
         np.random.SeedSequence(int(seed), spawn_key=(slot, block))))
 
@@ -101,7 +98,7 @@ class Estimate:
         }
 
 
-def _gram_schmidt(v, pairs=False):
+def _gram_schmidt(v):
     """Orthonormalise the columns v[0], v[1], ... in place, batched.
 
     v has shape (c, N, *batch): column j of every matrix in the batch is
@@ -116,27 +113,15 @@ def _gram_schmidt(v, pairs=False):
     N c eps times the product of the column norms (Hadamard's bound).
     A column that is exactly dependent on the earlier ones stays 0 and
     makes the product 0.
-
-    With pairs=True, v holds realified complex columns in its even slots
-    (interleaved real and imaginary parts); each odd slot is filled with
-    i times the column before it.  Real Gram-Schmidt on g_0, i g_0, g_1,
-    i g_1, ... is complex Gram-Schmidt on g_0, g_1, ...: projecting onto
-    the real span of q_k and i q_k is the complex projection onto q_k,
-    and i q_j is orthogonal to q_j already.  norms is then the product
-    over the even slots only.
     """
-    import numpy as np
     norms = np.ones(v.shape[2:])
-    for j in range(0, v.shape[0], 2 if pairs else 1):
+    for j in range(v.shape[0]):
         for _ in range(2 if j else 0):
             coef = np.einsum("ki...,i...->k...", v[:j], v[j])
             v[j] -= np.einsum("ki...,k...->i...", v[:j], coef)
         norm = np.sqrt(np.einsum("i...,i...->...", v[j], v[j]))
         v[j] /= np.where(norm > 0, norm, 1.0)
         norms *= norm
-        if pairs:
-            np.negative(v[j, 1::2], out=v[j + 1, 0::2])
-            v[j + 1, 1::2] = v[j, 0::2]
     return v, norms
 
 
@@ -171,13 +156,17 @@ def haar_unitary_realified(n, rng, size, cols=None):
     of a batch-last array, and only the 2n * cols Gaussians of the
     returned complex columns are drawn, each column as 2n interleaved
     real and imaginary parts.  The Gram-Schmidt Q is QR's Q with the
-    phases of diag(R) removed (Mezzadri 2007).
+    phases of diag(R) removed (Mezzadri 2007).  Real Gram-Schmidt on
+    g_0, i g_0, g_1, i g_1, ... is complex Gram-Schmidt on g_0, g_1, ...:
+    projecting onto the real span of q_k and i q_k is the complex
+    projection onto q_k, and i g_j is orthogonal to g_j already.
     """
-    import numpy as np
     cols = _check_cols(n, cols)
     v = np.empty((2 * cols, 2 * n, size))
     v[0::2] = rng.standard_normal((cols, 2 * n, size))
-    return _gram_schmidt(v, pairs=True)[0].T
+    np.negative(v[0::2, 1::2], out=v[1::2, 0::2])  # Re i g = -Im g
+    v[1::2, 1::2] = v[0::2, 0::2]  # Im i g = Re g
+    return _gram_schmidt(v)[0].T
 
 
 class GaussianSampler:
@@ -236,13 +225,13 @@ class SchubertSampler:
     def draw(self, rng, out):
         """Fill out, a C-contiguous (degree, N, size) block, one trial
         per last-axis entry; every sampler's draw has this form."""
-        import numpy as np
         size = out.shape[-1]
         q = haar_orthogonal(self.k, rng, size, cols=len(self.parts)).T
         full = self.full
-        r = haar_orthogonal(self.m, rng, size, cols=self.parts[full]
-                            if full < len(self.parts) else 0).T
         f = np.eye(self.m)[:, :, None]
+        # R is drawn only when a row below m reads it
+        r = f if full == len(self.parts) else haar_orthogonal(
+            self.m, rng, size, cols=self.parts[full]).T
         # row b of out holds the kept entries of the k x m matrix q_i r_j^T
         for b, (i, j) in enumerate(self.boxes):
             r_j = f[j] if i < full else r[j]
@@ -273,7 +262,6 @@ def _unitary_corner(n, rng, size):
     haar_unitary_realified(2, rng, size, cols=2) draws, so at n = 2,
     which has no tail, the two agree up to rounding.
     """
-    import numpy as np
     # the draws and every intermediate are rows of one array, updated in
     # place: a block makes no other allocation, so its memory stays small
     # and malloc reuses it from block to block
@@ -335,7 +323,6 @@ class TasakiSampler:
         self.ry, self.cy = math.sqrt(y), math.sqrt(1 - y)
 
     def draw(self, rng, out):
-        import numpy as np
         u, v = _unitary_corner(self.n, rng, out.shape[-1])
         rx, cx, ry, cy = self.rx, self.cx, self.ry, self.cy
         # h V_x has the rows u and rx i u + cx v for the columns u and v of
@@ -452,7 +439,6 @@ def mc_wedge_length(zs, samples, seed, workers=1):
     zs = list(zs)
     if not zs:
         raise ValueError("mc_wedge_length needs at least one zonoid")
-    import numpy as np
     n = zs[0].ambient_dim
     deg = sum(z.degree for z in zs)
     if any(z.ambient_dim != n for z in zs):

@@ -3,22 +3,13 @@
 The combinatorics here backs the decomposition of exterior powers of
 R^k (x) R^m into spans of rotated Schubert simple vectors, and the
 calibrated expected-degree pipeline for lines in projective 3-space
-(the Grassmannian G(2,4) case, k = m = 2).
+(the Grassmannian G(2,4) case, k = m = 2).  The functions that draw
+import sampling when they are called, so the combinatorics (`schubert
+lr`) never loads it, nor numpy with it.
 """
 
 import itertools
 import math
-
-from .sampling import (
-    Estimate,
-    SamplerZonoid,
-    SchubertSampler,
-    block_stats,
-    haar_orthogonal,
-    mc_wedge_length,
-    run_blocks,
-    substream,
-)
 
 
 class YoungDiagram:
@@ -178,6 +169,8 @@ def mc_schubert_shape(lams, k, m, samples, seed, workers=1):
     0, 1, ... of the seed in order.  With none of them the wedge is the
     fixed unit vector, and every sample is 1.
     """
+    from .sampling import (SamplerZonoid, SchubertSampler, mc_wedge_length,
+                           run_blocks)
     lams = [as_diagram(l) for l in lams]
     if not lams:
         raise ValueError("mc_schubert_shape needs at least one diagram")
@@ -265,6 +258,7 @@ def verify_span_decomposition(k, m, d, samples=200, seed=0):
     """
     from .exact import pivot_rows_mod_p
     from .exterior import SimpleVector, wedge_inner
+    from .sampling import substream
     if k < 1 or m < 1:
         raise ValueError(f"k and m must be at least 1, got k={k}, m={m}")
     if not 0 <= d <= k * m:
@@ -417,6 +411,9 @@ def edeg22_calibrated(samples, seed, workers=1):
     and then r_s, one Haar column of O(2) each.  components holds the E4
     estimate.
     """
+    from .sampling import (Estimate, block_stats, haar_orthogonal, run_blocks,
+                           substream)
+
     def pair(slot, b, size):
         rng = substream(seed, slot, b)
         return [haar_orthogonal(2, rng, size, cols=1).T[0] for _ in range(2)]

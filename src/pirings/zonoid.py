@@ -382,6 +382,10 @@ def _num_to_json(x):
     return p if q == 1 else f"{p}/{q}"
 
 
+def _malformed(what):
+    return ValueError(f"malformed zonoid JSON: {what}")
+
+
 def _num_from_json(x):
     """An int or a finite float as is, a numeric string as a Fraction."""
     if isinstance(x, int) and not isinstance(x, bool):
@@ -393,8 +397,8 @@ def _num_from_json(x):
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"malformed zonoid JSON: {json.dumps(x)} is not a "
-                     "number (use an integer, a finite decimal or \"p/q\")")
+    raise _malformed(f"{json.dumps(x)} is not a number (use an integer, a "
+                     "finite decimal or \"p/q\")")
 
 
 def to_json(z):
@@ -420,41 +424,52 @@ def from_json(data):
         raise ValueError("a zonoid must be a JSON object")
     try:
         return _from_json(data)
-    except (TypeError, AttributeError, KeyError) as exc:
-        what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"malformed zonoid JSON: {what}") from exc
+    except KeyError as exc:
+        raise _malformed(f"missing key {exc}") from None
 
 
 def _from_json(data):
     n = data["ambient"]
     d = data["degree"]
-    if not (isinstance(n, int) and isinstance(d, int) and 0 <= d <= n):
-        raise ValueError("ambient and degree must be integers with "
+    # type, not isinstance: a JSON true is a bool, which is an int
+    if not (type(n) is int and type(d) is int and 0 <= d <= n):
+        raise _malformed("ambient and degree must be integers with "
                          "0 <= degree <= ambient")
+    listed = data.get("atoms", [])
+    if not isinstance(listed, list):
+        raise _malformed('"atoms" must be a list')
     atoms = []
-    for i, a in enumerate(data.get("atoms", [])):
+    for i, a in enumerate(listed):
+        if not isinstance(a, dict):
+            raise _malformed(f"atom {i} must be an object")
         w = _num_from_json(a["w"])
+        if not (isinstance(a["v"], list)
+                and all(isinstance(f, list) for f in a["v"])):
+            raise _malformed(f'atom {i} "v" must be a list of factor lists')
         factors = [[_num_from_json(x) for x in f] for f in a["v"]]
         if len(factors) != d:
-            raise ValueError(f"malformed zonoid JSON: atom {i} has "
-                             f"{len(factors)} factors, not degree {d}")
+            raise _malformed(f"atom {i} has {len(factors)} factors, "
+                             f"not degree {d}")
         for j, f in enumerate(factors):
             if len(f) != n:
-                raise ValueError(f"malformed zonoid JSON: atom {i} factor {j}"
-                                 f" has length {len(f)}, not ambient {n}")
+                raise _malformed(f"atom {i} factor {j} has length {len(f)}, "
+                                 f"not ambient {n}")
         atoms.append((w, SimpleVector(n, factors)))
+    center = data.get("center")
+    if not isinstance(center, (dict, type(None))):
+        raise _malformed('"center" must be an object')
     coords = {}
-    for key, c in (data.get("center") or {}).items():
+    for key, c in (center or {}).items():
         try:
             idx = tuple(int(i) for i in key.split(",")) if key else ()
         except ValueError:
-            raise ValueError(f"malformed zonoid JSON: center key {key!r} "
-                             "is not comma-separated integers") from None
+            raise _malformed(f"center key {key!r} is not comma-separated "
+                             "integers") from None
         if any(not 0 <= i < n for i in idx):
-            raise ValueError(f"malformed zonoid JSON: center key {key!r} "
-                             f"has an index outside 0..{n - 1}")
+            raise _malformed(f"center key {key!r} has an index outside "
+                             f"0..{n - 1}")
         if len(idx) != d or len(set(idx)) != d:
-            raise ValueError(f"malformed zonoid JSON: center key {key!r} "
-                             f"does not name {d} distinct indices")
+            raise _malformed(f"center key {key!r} does not name {d} "
+                             "distinct indices")
         coords[idx] = _num_from_json(c)
     return VirtualZonoid(n, d, atoms, ExteriorElement(n, d, coords))

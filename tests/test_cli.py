@@ -258,11 +258,22 @@ class TestZonoid:
          "atom 1 has 2 factors, not degree 1"),
         ({"ambient": 2, "degree": 1, "atoms": [{"w": 1, "v": [[1, 0, 0]]}]},
          "atom 0 factor 0 has length 3, not ambient 2"),
+        ({"ambient": True, "degree": 1, "atoms": []},
+         "ambient and degree must be integers with 0 <= degree <= ambient"),
+        ({"ambient": 2, "degree": False, "atoms": []},
+         "ambient and degree must be integers with 0 <= degree <= ambient"),
+        ({"ambient": 2, "degree": 1, "atoms": [{"w": 1, "v": [1, 0]}]},
+         'atom 0 "v" must be a list of factor lists'),
+        ({"ambient": 2, "degree": 1, "atoms": [5]}, "atom 0 must be an object"),
+        ({"ambient": 2, "degree": 1, "atoms": "ab"}, '"atoms" must be a list'),
+        ({**SQUARE, "center": [1]}, '"center" must be an object'),
     ])
     def test_malformed_zonoid_json_is_named(self, capsys, tmp_path, data,
                                             message):
         # a missing key printed its bare repr, a bad center key int()'s
-        # error, and an index or length out of range named no key or atom
+        # error, an index or length out of range named no key or atom, a
+        # value of the wrong JSON type a Python error, and a boolean
+        # ambient passed as an integer
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code, err = run_err(capsys, "zonoid", "length", "-f", str(path))
@@ -706,7 +717,7 @@ def executed_modules(argv, cwd):
      "schubert", {"exact", "exterior", "cpn_ring", "zonoid", "fractions",
                   "decimal"}),
     (("schubert", "lr", "--a", "3,2,1", "--b", "2,1"), "schubert",
-     {"exact", "exterior", "cpn_ring", "zonoid"}),
+     {"exact", "exterior", "cpn_ring", "zonoid", "sampling"}),
     (("schubert", "edeg22", "--samples", "20000", "--workers", "2"),
      "schubert", {"fractions", "decimal", "logging"}),
 ], ids=["help", "cpn relations", "zonoid length", "schubert edeg22",
@@ -757,7 +768,7 @@ def test_tracer_leaves_no_wrapper_on_lazy_modules(tmp_path):
     out = json.loads(proc.stdout)
     assert out["missing"] == []
     assert {"pirings.exact.bareiss_det", "pirings.exterior.bareiss_det",
-            "pirings.schubert.haar_orthogonal"} <= set(out["during"])
+            "pirings.zonoid.ball_wedge_length"} <= set(out["during"])
     assert out["after"] == []
 
 

@@ -9,6 +9,8 @@
   reads.
 - Only exact.py reads the attribute `terms`: how a PiScalar holds its
   powers of pi is known to that module alone.
+- No module imports from sampling at module level, and only sampling
+  imports numpy there: a command loads numpy only when it draws.
 - The README's Python examples run and print what their comments say.
 """
 
@@ -98,6 +100,24 @@ def test_only_exact_reads_piscalar_terms():
                    isinstance(node, ast.Attribute) and node.attr == "terms"
                    for node in ast.walk(tree))]
     assert readers == []
+
+
+def module_level_imports(tree):
+    """The modules that the top-level statements of tree import, a
+    relative one with its leading dots."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield "." * node.level + (node.module or "")
+
+
+def test_only_sampling_loads_numpy_and_only_when_called():
+    eager = [f"{stem}: {name}" for stem, tree in parsed_modules().items()
+             for name in module_level_imports(tree)
+             if name == ".sampling"
+             or name.split(".")[0] == "numpy" and stem != "sampling"]
+    assert eager == []
 
 
 def unread_imports(path):

@@ -408,6 +408,19 @@ class TestSchubertSampler:
         sp.SchubertSampler((2,), 2, 2, (2,)).draw(rng, np.empty((2, 2, size)))
         assert rng.standard_normal() == _normals(9, 0, 2 * size)
 
+    def test_full_rows_draw_no_r(self, monkeypatch):
+        # "2|2" reads no column of R, so each block makes one Haar call
+        calls = []
+        haar = sp.haar_orthogonal
+
+        def recording(n, rng, size, cols=None):
+            calls.append((n, size, cols))
+            return haar(n, rng, size, cols)
+
+        monkeypatch.setattr(sp, "haar_orthogonal", recording)
+        sb.mc_schubert_shape([(2,), (2,)], 2, 2, 2 * sp.BLOCK + 5, seed=4)
+        assert calls == [(2, sp.BLOCK, 1), (2, sp.BLOCK, 1), (2, 5, 1)]
+
 
 class TestRunBlocks:
     @pytest.mark.parametrize("samples, workers", [(0, 1), (-3, 1), (10, 0),

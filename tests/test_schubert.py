@@ -307,13 +307,13 @@ class TestSpanDecomposition:
 
     def test_streams_of_neighbouring_seeds_are_disjoint(self, monkeypatch):
         used = []
-        substream = sb.substream
+        substream = sp.substream
 
         def recording(seed, slot, block=0):
             used.append((seed, slot, block))
             return substream(seed, slot, block)
 
-        monkeypatch.setattr(sb, "substream", recording)
+        monkeypatch.setattr(sp, "substream", recording)
         runs = {}
         for seed in (5, 6):
             used.clear()
@@ -400,13 +400,13 @@ class TestEdeg:
 
     def test_streams_of_neighbouring_seeds_are_disjoint(self, monkeypatch):
         used = []
-        substream = sb.substream
+        substream = sp.substream
 
         def recording(seed, slot, block=0):
             used.append((seed, slot, block))
             return substream(seed, slot, block)
 
-        monkeypatch.setattr(sb, "substream", recording)
+        monkeypatch.setattr(sp, "substream", recording)
         runs = {}
         for seed in (5, 6):
             used.clear()

@@ -893,6 +893,43 @@ class TestJsonRoundTrip:
         assert zn.length(back) == zn.length(z)
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+# objects with a zonoid's keys, each value either of its own shape or an
+# arbitrary JSON value, so that the draws reach every check
+SIZES = st.integers(0, 3) | JSON_VALUES
+ATOMS = st.fixed_dictionaries({"w": SIZES}, optional={
+    "v": JSON_VALUES | st.lists(st.lists(SIZES, max_size=3), max_size=3),
+}) | JSON_VALUES
+CENTERS = st.dictionaries(st.sampled_from(("", "0", "1", "0,1", "1,0", "x")),
+                          SIZES, max_size=2)
+ZONOID_OBJECTS = st.fixed_dictionaries(
+    {"ambient": SIZES, "degree": SIZES},
+    optional={"atoms": JSON_VALUES | st.lists(ATOMS, max_size=3),
+              "center": JSON_VALUES | CENTERS})
+
+
+class TestJsonErrors:
+    @settings(max_examples=200, deadline=None)
+    @given(ZONOID_OBJECTS)
+    def test_any_object_is_read_or_named(self, data):
+        try:
+            z = zn.from_json(data)
+        except ValueError as exc:
+            message = str(exc)
+            assert (message.startswith("malformed zonoid JSON")
+                    or "ambient" in message or "degree" in message)
+            # and not a Python error passed on
+            assert not any(s in message for s in (
+                "object is not", "has no attribute", "indices must be"))
+        else:
+            assert isinstance(z, zn.VirtualZonoid)
+
+
 # --- exact Hodge duals ----------------------------------------------------
 
 def shapes():

@@ -258,10 +258,12 @@ def cmd_sphere(args):
         if not 1 <= args.i <= args.N:
             raise ValueError(f"need 1 <= --i <= --N, got --N {args.N} "
                              f"and --i {args.i}")
+        # the closed form first: its modules are compiled and run before
+        # numpy is loaded, so the process's peak memory holds less at once
+        closed = sphere_ring.ball_wedge_length(args.N, 0, args.i, 1)
         est = sampling.mc_wedge_length(
             [sampling.gaussian_ball(args.N)] * args.i,
             args.samples, args.seed, args.workers)
-        closed = sphere_ring.ball_wedge_length(args.N, 0, args.i, 1)
         return {"N": args.N, "i": args.i, "exact": float(closed),
                 "estimate": est.to_json(args.z)}
 
@@ -370,10 +372,42 @@ def build_parser():
 DISPATCH = {"cpn": cmd_cpn, "schubert": cmd_schubert, "zonoid": cmd_zonoid,
             "sphere": cmd_sphere}
 
+# flags whose value may start with "-": "-1/2", "-s", "-gamma", "-1,0.5"
+SIGNED_VALUES = ("--d", "--delta", "--a", "--b", "--expr", "--codims",
+                 "--ratios")
+
+
+def _option_strings(parser):
+    """Every flag of parser and of its subcommands."""
+    found = set()
+    for action in parser._actions:
+        found.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                found |= _option_strings(sub)
+    return found
+
+
+def _join_signed_values(argv, flags):
+    """argv with each SIGNED_VALUES flag joined, as flag=token, to a next
+    token that starts with "-" and is not one of flags.  argparse takes
+    such a token for a flag unless it looks like a plain decimal, and then
+    reports the flag's value missing; a flag followed by a flag or by
+    nothing is left for argparse to refuse."""
+    out = []
+    for token in argv:
+        if (out and out[-1] in SIGNED_VALUES and token.startswith("-")
+                and token.split("=")[0] not in flags):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_signed_values(
+        sys.argv[1:] if argv is None else argv, _option_strings(parser)))
     try:
         args.seed = _default_seed() if args.seed is None else args.seed
         if not 0 < args.z < math.inf:

@@ -114,14 +114,15 @@ def _gram_schmidt(v):
     A column that is exactly dependent on the earlier ones stays 0 and
     makes the product 0.
     """
-    norms = np.ones(v.shape[2:])
+    norms = None if len(v) else np.ones(v.shape[2:])
     for j in range(v.shape[0]):
         for _ in range(2 if j else 0):
             coef = np.einsum("ki...,i...->k...", v[:j], v[j])
             v[j] -= np.einsum("ki...,k...->i...", v[:j], coef)
-        norm = np.sqrt(np.einsum("i...,i...->...", v[j], v[j]))
-        v[j] /= np.where(norm > 0, norm, 1.0)
-        norms *= norm
+        norm = np.einsum("i...,i...->...", v[j], v[j])
+        np.sqrt(norm, out=norm)
+        np.divide(v[j], norm, out=v[j], where=norm > 0)
+        norms = norm if norms is None else np.multiply(norms, norm, out=norms)
     return v, norms
 
 
@@ -240,11 +241,19 @@ class SchubertSampler:
                             .reshape(end - a, self.m - c, size))
 
 
-def _unitary_corner(n, rng, size):
+def _unitary_corner(n, rng, scratch):
     """The 2 x 2 corner A (first two rows and columns) of size Haar
     unitaries of U(n), n >= 2, as a batch-last (2, 4, size) array whose
     [c] holds column c of A: the real and imaginary parts of its first
     entry, then of its second.
+
+    The rows alive at once: the 8 of the result, the tail norm and the 2
+    of w in one 11-row array of the corner's own, which the result views;
+    and the norm, c_re, c_im and a temporary in scratch, a (4, size)
+    array of the caller's, size being its last axis.  The caller writes
+    over scratch once it has read the corner: TasakiSampler.draw passes
+    its own 4-row block.  Every row is updated in place, so a block makes
+    no other allocation.
 
     A is that corner of the Gram-Schmidt Q of an n x 2 complex Gaussian G
     (Mezzadri 2007), and each column of G is carried as its two head
@@ -262,14 +271,13 @@ def _unitary_corner(n, rng, size):
     haar_unitary_realified(2, rng, size, cols=2) draws, so at n = 2,
     which has no tail, the two agree up to rounding.
     """
-    # the draws and every intermediate are rows of one array, updated in
-    # place: a block makes no other allocation, so its memory stays small
-    # and malloc reuses it from block to block
-    work = np.empty((15, size))
+    size = scratch.shape[-1]
+    work = np.empty((11, size))
     g = work[:8].reshape(2, 4, size)
     u, a = g
-    tail, norm, c_re, c_im, tmp = work[8:13]
-    w = work[13:]
+    tail = work[8]
+    w = work[9:]
+    norm, c_re, c_im, tmp = scratch
     rng.standard_normal(out=g)
     np.einsum("is,is->s", u, u, out=norm)
     if n > 2:
@@ -323,7 +331,8 @@ class TasakiSampler:
         self.ry, self.cy = math.sqrt(y), math.sqrt(1 - y)
 
     def draw(self, rng, out):
-        u, v = _unitary_corner(self.n, rng, out.shape[-1])
+        # the corner's scratch rows are out's, written over below
+        u, v = _unitary_corner(self.n, rng, out.reshape(4, -1))
         rx, cx, ry, cy = self.rx, self.cx, self.ry, self.cy
         # h V_x has the rows u and rx i u + cx v for the columns u and v of
         # h, whose heads are the corner's (u = (Re u_1, Im u_1, Re u_2,

@@ -322,12 +322,13 @@ def _ellipke(m):
     1e-9 a_N, after which a_N moves by less than a rounding error.  At
     m = 1, where the mean does not converge, E = 1 and K = inf.  The
     sequences are updated in place, so a call holds a few arrays the size
-    of m at a time.
+    of m at a time: m, a, b, c, the sum and one scratch array.
     """
     import numpy as np
     m = np.asarray(m, dtype=float)
     one = m == 1  # any b_0 > 0 runs there; those entries are set at the end
-    a, b = np.ones_like(m), np.sqrt(np.where(one, 0.5, 1 - m))
+    a, tmp = np.ones_like(m), np.where(one, 0.5, 1 - m)
+    b = np.sqrt(tmp)
     c, total, weight = np.empty_like(m), m / 2, 0.5
     while True:
         np.subtract(a, b, out=c)
@@ -336,8 +337,10 @@ def _ellipke(m):
         np.sqrt(b, out=b)   # b_(n+1)
         a -= c              # a_(n+1) = a_n - c_(n+1) = (a_n + b_n) / 2
         weight *= 2
-        total += weight * c * c
-        if np.all(c <= 1e-9 * a):
+        np.multiply(weight, c, out=tmp)
+        tmp *= c
+        total += tmp        # + weight c^2
+        if np.all(c <= np.multiply(1e-9, a, out=tmp)):
             break
     k = np.divide(np.pi / 2, a, out=a)
     e = np.subtract(1, total, out=total)
@@ -346,10 +349,11 @@ def _ellipke(m):
     return e, k
 
 
-def _circle_abs_mean(c00, c01, c10, c11):
+def _circle_abs_mean(h1, h2):
     """E|q^T C r| for q and r independent and uniform on the unit circle,
-    elementwise over the entries of C = [[c00, c01], [c10, c11]], which
-    broadcast to an array (at least one of them is an array).
+    elementwise over arrays of matrices C = [[c00, c01], [c10, c11]], each
+    given by its two hypotenuses |(c00 + c11, c01 - c10)| and
+    |(c00 - c11, c01 + c10)|, in either order, as h1 and h2.
 
     With the singular values s_1 >= s_2 of C and the angles x, y of q and
     r in its singular bases, q^T C r = A cos(x - y) + B cos(x + y) up to
@@ -358,24 +362,23 @@ def _circle_abs_mean(c00, c01, c10, c11):
     (2 / pi) (sqrt(A^2 - t^2) + t arcsin(t / A)) at t = B cos(x + y), and
     its mean over x + y is (4 A / pi^2) (2 E(m) - (1 - m) K(m)) with
     m = (B / A)^2: 8 A / pi^2 at m = 1 (det C = 0), and 0 at A = 0.
-    2A and 2B are the lengths sqrt(|C|_F^2 +- 2 det C), each computed as
-    a hypotenuse, so nothing cancels and no SVD is needed.  The arrays
-    are reused in place, as in _ellipke.
+    2A and 2B are the larger and the smaller of h1 and h2, the lengths
+    sqrt(|C|_F^2 +- 2 det C), each a hypotenuse, so nothing cancels and no
+    SVD is needed.  The arrays are reused in place, as in _ellipke, h1
+    among them.
     """
     import numpy as np
-    p = np.hypot(np.add(c00, c11), np.subtract(c01, c10))
-    q = np.hypot(np.subtract(c00, c11), np.add(c01, c10))
-    a2, m = np.maximum(p, q), np.minimum(p, q, out=p)  # 2A and 2B
-    del q
+    a2, m = np.maximum(h1, h2), np.minimum(h1, h2, out=h1)  # 2A and 2B
     np.divide(m, a2, out=m, where=a2 > 0)  # B / A, and 0 where A = 0
     m *= m
     e, k = _ellipke(m)
     k[m == 1] = 0.0  # (1 - m) K(m) -> 0 as m -> 1
-    k *= 1 - m
+    k *= np.subtract(1, m, out=m)
     e *= 2
     e -= k
     e *= a2
-    return e * (2 / np.pi ** 2)
+    e *= 2 / np.pi ** 2
+    return e
 
 
 def edeg22_calibrated(samples, seed, workers=1):
@@ -413,6 +416,9 @@ def edeg22_calibrated(samples, seed, workers=1):
     """
     from .sampling import (Estimate, block_stats, haar_orthogonal, run_blocks,
                            substream)
+    # after sampling, so that its compile runs before numpy is loaded: the
+    # process's peak memory then holds less at once
+    import numpy as np
 
     def pair(slot, b, size):
         rng = substream(seed, slot, b)
@@ -421,12 +427,37 @@ def edeg22_calibrated(samples, seed, workers=1):
     def block_fn(b, size):
         (q, r), (s, t) = pair(1, b, size), pair(2, b, size)
         # w = v_1[1:] x v_2[1:] for v_1 = q (x) r and v_2 = s (x) t, whose
-        # coordinates 1 to 3 are (q_0 r_1, q_1 r_0, q_1 r_1)
-        w = (q[1] * s[1] * (r[0] * t[1] - r[1] * t[0]),
-             r[1] * t[1] * (q[1] * s[0] - q[0] * s[1]),
-             q[0] * r[1] * s[1] * t[0] - q[1] * r[0] * s[0] * t[1])
-        del q, r, s, t  # the kernel needs only w: keep the block's peak low
-        return block_stats(_circle_abs_mean(0.0, *w))
+        # coordinates 1 to 3 are (q_0 r_1, q_1 r_0, q_1 r_1):
+        #   w_0 = q_1 s_1 (r_0 t_1 - r_1 t_0),
+        #   w_1 = r_1 t_1 (q_1 s_0 - q_0 s_1),
+        #   w_2 = q_0 r_1 s_1 t_0 - q_1 r_0 s_0 t_1.
+        # Every row is read by two of them, so w_2 takes a new row; then
+        # w_0 goes over r_0 and w_1 over t_0, which no later term reads,
+        # with one more row for the partial products: 10 rows at the peak.
+        w2 = q[0] * r[1]
+        w2 *= s[1]
+        w2 *= t[0]
+        tmp = q[1] * r[0]
+        tmp *= s[0]
+        tmp *= t[1]
+        w2 -= tmp
+        w0, w1 = r[0], t[0]
+        np.multiply(r[1], t[0], out=tmp)
+        w0 *= t[1]
+        w0 -= tmp
+        w0 *= np.multiply(q[1], s[1], out=tmp)
+        np.multiply(q[1], s[0], out=w1)
+        w1 -= np.multiply(q[0], s[1], out=tmp)
+        w1 *= np.multiply(r[1], t[1], out=tmp)
+        del q, s
+        # C = [[0, w_0], [w_1, w_2]] has the hypotenuses |(w_2, w_0 - w_1)|
+        # and |(w_2, w_0 + w_1)|, written over r: the kernel reads only them
+        np.subtract(w0, w1, out=tmp)
+        w0 += w1
+        np.hypot(w2, tmp, out=r[1])
+        np.hypot(w2, w0, out=r[0])
+        del t, w1, w2, tmp
+        return block_stats(_circle_abs_mean(*r))
 
     e4 = run_blocks(samples, seed, block_fn, workers)
     scale = math.pi ** 6 / 128

@@ -534,6 +534,48 @@ def test_bad_argument_value(capsys, argv, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, joined", [
+    ("cpn selfint --n 3 --delta -1/2", "cpn selfint --n 3 --delta=-1/2"),
+    ("cpn selfint --n 3 --d -3/2 --delta -1",
+     "cpn selfint --n 3 --d=-3/2 --delta=-1"),
+    ("cpn multiply --n 3 --a -s --b t", "cpn multiply --n 3 --a=-s --b t"),
+    ("cpn multiply --n 3 --a s --b -1/2*t",
+     "cpn multiply --n 3 --a s --b=-1/2*t"),
+    ("cpn length --n 3 --expr -gamma", "cpn length --n 3 --expr=-gamma"),
+])
+def test_value_that_starts_with_minus(capsys, argv, joined):
+    # argparse took "-1/2", "-s" and "-gamma" for flags and exited 2 with
+    # "expected one argument"; each is now the value of the flag before it
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert (code, out) == run(capsys, *joined.split())
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--ratios", "-1,0.5", "volume ratios must be finite and nonnegative, "
+                           "got [-1.0, 0.5]"),
+    ("--codims", "-1,1", "n and the codimensions must be nonnegative, "
+                         "got n=2, codims=[-1, 1]"),
+])
+def test_negative_list_reaches_the_range_check(capsys, flag, value, message):
+    code = main(["sphere", "expected-count", flag, value])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("cpn", "selfint", "--n", "3", "--delta"),
+    ("cpn", "selfint", "--n", "3", "--delta", "--d", "1"),
+    ("cpn", "multiply", "--n", "3", "--a", "--b", "t"),
+    ("cpn", "length", "--n", "3", "--expr", "-h"),
+])
+def test_flag_without_a_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", ["0", "-2"])
 def test_bad_spans_sample_count(capsys, count):
     # --samples is another option of the same command

@@ -10,6 +10,8 @@ from pirings import cpn_ring as cp, exact
 from pirings.cpn_ring import RingElement
 from pirings.exact import PiScalar, bareiss_det, bareiss_solve
 
+from calibration import assert_calibrated
+
 
 class TestDimension:
     def test_examples(self):
@@ -537,18 +539,9 @@ class TestTasaki:
 
     @pytest.mark.parametrize("n, x, y", [(3, 0.3, 0.6), (6, 0.8, 0.1)])
     def test_mc_z_scores_are_calibrated(self, n, x, y):
-        # over independent seeds, (mean - kernel) / SE has mean 0 and
-        # spread 1: the SE of 100 z-scores' mean is 0.1, of their sample
-        # standard deviation about 0.07
         expect = float(cp.tasaki_kernel_d2(n, Fraction(x), Fraction(y)))
-        z = []
-        for seed in range(100):
-            est = cp.mc_tasaki_kernel_d2(n, x, y, 4000, seed=1000 + seed)
-            z.append((est.mean - expect) / est.std_error)
-        mean = sum(z) / len(z)
-        spread = math.sqrt(sum((v - mean) ** 2 for v in z) / (len(z) - 1))
-        assert abs(mean) < 0.4
-        assert 0.75 < spread < 1.25
+        assert_calibrated(
+            lambda seed: cp.mc_tasaki_kernel_d2(n, x, y, 4000, seed), expect)
 
 
 class TestKaehler:

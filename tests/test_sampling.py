@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 import sys
+import tracemalloc
 
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
@@ -13,7 +14,9 @@ from pirings import schubert as sb
 from pirings import zonoid as zn
 from pirings.exact import int_det
 from pirings.exterior import SimpleVector
-from pirings.sphere_ring import ball_length
+from pirings.sphere_ring import ball_length, ball_wedge_length
+
+from calibration import assert_calibrated
 
 
 class TestSubstream:
@@ -207,6 +210,11 @@ def _realified(corner):
     return out.T
 
 
+def _corner(n, rng, size):
+    """_unitary_corner with a fresh scratch block of its 4 rows."""
+    return sp._unitary_corner(n, rng, np.empty((4, size)))
+
+
 def _complex_corner(corner):
     """A[s, a, c], entry a of column c of the corner of trial s."""
     return (corner[:, 0::2] + 1j * corner[:, 1::2]).T
@@ -218,7 +226,7 @@ class TestUnitaryCorner:
         # the same 8 normals per trial in the same order: the corner of
         # U(2) is all of it
         rng = sp.substream(22, 0)
-        corner = sp._unitary_corner(2, rng, size)
+        corner = _corner(2, rng, size)
         ref_rng = sp.substream(22, 0)
         ref = sp.haar_unitary_realified(2, ref_rng, size, cols=2)
         assert np.abs(_realified(corner) - ref).max() <= 1e-12
@@ -228,8 +236,7 @@ class TestUnitaryCorner:
     def test_law(self, n):
         # E|A_00|^2 = 1/n, E|A_00|^4 = 2/(n(n+1)) and E|det A|^2 = 1/C(n, 2),
         # the mean square of an entry of the unitary second compound
-        a = _complex_corner(sp._unitary_corner(n, sp.substream(23, n),
-                                               200000))
+        a = _complex_corner(_corner(n, sp.substream(23, n), 200000))
         sq = np.abs(a[:, 0, 0]) ** 2
         det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
         for vals, want in ((sq, 1 / n), (sq * sq, 2 / (n * (n + 1))),
@@ -241,7 +248,7 @@ class TestUnitaryCorner:
     def test_is_a_contraction(self, n):
         # A is a block of a unitary, so the eigenvalues of A* A lie in
         # [0, 1], and at n = 2 they are all 1
-        a = _complex_corner(sp._unitary_corner(n, sp.substream(24, n), 500))
+        a = _complex_corner(_corner(n, sp.substream(24, n), 500))
         eig = np.linalg.eigvalsh(np.einsum("sac,sad->scd", a.conj(), a))
         assert eig.min() >= -1e-12 and eig.max() <= 1 + 1e-12
         if n == 2:
@@ -258,7 +265,7 @@ class TestTasakiSampler:
         size = 300
         out = np.empty((2, 2, size))
         sp.TasakiSampler(n, x, y).draw(sp.substream(25, n), out)
-        h = _realified(sp._unitary_corner(n, sp.substream(25, n), size))
+        h = _realified(_corner(n, sp.substream(25, n), size))
         ref = np.einsum("ic,sac,ja->ijs", _plane(x), h, _plane(y))
         assert np.abs(out - ref).max() <= 1e-12
 
@@ -557,6 +564,12 @@ class TestMcWedgeLength:
         est = sp.mc_wedge_length([b], 100000, seed=12)
         assert abs(est.mean - float(ball_length(3))) < 3 * est.std_error
 
+    @pytest.mark.parametrize("n, i", [(6, 6), (3, 2)])
+    def test_ball_z_scores_are_calibrated(self, n, i):
+        assert_calibrated(lambda seed: sp.mc_wedge_length(
+            [sp.gaussian_ball(n)] * i, 4000, seed),
+            float(ball_wedge_length(n, 0, i, 1)))
+
     def test_zero_scale(self):
         z = sp.SamplerZonoid(0.0, sp.GaussianSampler(2))
         est = sp.mc_wedge_length([z, sp.gaussian_ball(2)], 1000, seed=13)
@@ -727,3 +740,34 @@ class TestWorkerIdentity:
         # == compares mean, standard error, samples, seed and components
         assert a == b
         assert a.max_value == b.max_value
+
+
+# one block of each estimator, as seed -> Estimate, and the most rows of
+# BLOCK doubles that tracemalloc may see allocated at once while it runs
+WORKING_SETS = {
+    "edeg22": (lambda seed: sb.edeg22_calibrated(sp.BLOCK, seed), 10.5),
+    "tasaki n=2": (lambda seed: cp.mc_tasaki_kernel_d2(
+        2, 0.3, 0.6, sp.BLOCK, seed), 16.5),
+    "tasaki n=3": (lambda seed: cp.mc_tasaki_kernel_d2(
+        3, 0.3, 0.6, sp.BLOCK, seed), 16.5),
+    "ball N=6": (lambda seed: sp.mc_wedge_length(
+        [sp.gaussian_ball(6)] * 6, sp.BLOCK, seed), 4.5),
+    "shape 1|2,1": (lambda seed: sb.mc_schubert_shape(
+        [(1,), (2, 1)], 2, 2, sp.BLOCK, seed), 9.5),
+    "shape 2|2": (lambda seed: sb.mc_schubert_shape(
+        [(2,), (2,)], 2, 2, sp.BLOCK, seed), 9.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKING_SETS))
+def test_block_working_set(name):
+    # a worker holds this much per block, so --workers multiplies it
+    run, rows = WORKING_SETS[name]
+    run(1)  # imports, caches and first-call setup are not the block's
+    tracemalloc.start()
+    try:
+        run(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows * sp.BLOCK * 8, f"{peak / (sp.BLOCK * 8):.2f} rows"

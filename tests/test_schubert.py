@@ -12,6 +12,8 @@ from pirings.exact import P31
 from pirings.exterior import SimpleVector, expand
 from pirings.schubert import YoungDiagram
 
+from calibration import assert_calibrated
+
 
 class TestYoungDiagram:
     def test_trailing_zeros_dropped(self):
@@ -226,6 +228,12 @@ class TestShapes:
     def test_self_dual_two(self):
         est = sb.mc_schubert_shape([(2,), (2,)], 2, 2, 100000, seed=1)
         assert abs(est.mean - 0.5) < 3 * est.std_error
+
+    @pytest.mark.parametrize("lams, expect", [
+        ([(1,), (2, 1)], 4 / math.pi ** 2), ([(2,), (2,)], 0.5)])
+    def test_z_scores_are_calibrated(self, lams, expect):
+        assert_calibrated(lambda seed: sb.mc_schubert_shape(
+            lams, 2, 2, 4000, seed), expect)
 
     def test_non_dual_vanishes_samplewise(self):
         est = sb.mc_schubert_shape([(2,), (1, 1)], 2, 2, 20000, seed=2)
@@ -451,9 +459,16 @@ class TestEllipke:
         assert math.isfinite(k[0])
 
 
+def hypotenuses(c00, c01, c10, c11):
+    """The two hypotenuses that _circle_abs_mean reads of C's entries."""
+    return (np.hypot(np.add(c00, c11), np.subtract(c01, c10)),
+            np.hypot(np.subtract(c00, c11), np.add(c01, c10)))
+
+
 def circle_abs_mean(*c):
     """The kernel at one matrix C, given by its four entries."""
-    return float(sb._circle_abs_mean(*(np.array([x]) for x in c))[0])
+    return float(sb._circle_abs_mean(*hypotenuses(
+        *(np.array([x]) for x in c)))[0])
 
 
 class TestCircleAbsMean:
@@ -478,7 +493,7 @@ class TestCircleAbsMean:
 
     def test_broadcasts(self):
         w = np.random.default_rng(53).standard_normal((3, 50))
-        got = sb._circle_abs_mean(0.0, *w)
+        got = sb._circle_abs_mean(*hypotenuses(0.0, *w))
         assert got.shape == (50,)
         assert got.tolist() == pytest.approx(
             [circle_abs_mean(0.0, *col) for col in w.T], rel=1e-15)

@@ -32,10 +32,12 @@ def _lazy(name):
     return module
 
 
-# Importers come before the modules they import from.  A tracer that walks
-# sys.modules in this order and replaces a function in every module that
-# binds it (perfbench/tracing.py) loads each module as it reaches it; so
-# every module has bound the original before the walk reaches its home.
+# Importers come before the modules they import from (zonoid before
+# exterior, and every module before exact); no module imports sphere_ring,
+# so only the `sphere` commands run it.  A tracer that walks sys.modules in
+# this order and replaces a function in every module that binds it
+# (perfbench/tracing.py) loads each module as it reaches it; so every module
+# has bound the original before the walk reaches its home.
 cpn_ring, schubert, zonoid, sphere_ring, sampling, exterior, exact = map(
     _lazy, ("cpn_ring", "schubert", "zonoid", "sphere_ring", "sampling",
             "exterior", "exact"))

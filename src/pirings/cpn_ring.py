@@ -17,8 +17,7 @@ import math
 import re
 from types import MappingProxyType
 
-from .exact import PiScalar
-from .sphere_ring import ball_wedge_length
+from .exact import PiScalar, gamma_half
 
 _PI_2_3 = PiScalar(1, Fraction(2, 3))  # beta = pi^(2/3) t, s = pi^(2/3) gamma
 # generator -> (s exponent, t exponent, power of pi^(2/3)) of its raw monomial
@@ -41,17 +40,17 @@ def dimension(n, d):
 
 
 def monomial_length(n, j, i):
-    """Exact length of gamma^j beta^i in the ring of CP^n.
-
-    Starts from l(gamma^j) = pi^(-j) n!/(n-j)! and attaches the beta
-    powers through the ball-wedge-length factor in R^(2n).
-    """
+    """Exact length of gamma^j beta^i in the ring of CP^n, with m = 2n - 2j:
+    n! m! Gamma((m - i)/2 + 1) / ((n-j)!^2 (m-i)!) pi^((i - 2j)/2), that is
+    l(gamma^j) = pi^(-j) n!/(n-j)! times the ball factor
+    m!/(m-i)! kappa_m/kappa_(m-i) of R^m, which attaches the beta powers."""
     if j < 0 or i < 0:
         raise ValueError("negative exponent")
     if j > n or 2 * j + i > 2 * n:
         return PiScalar(0)
-    base = PiScalar(Fraction(math.factorial(n), math.factorial(n - j)), -j)
-    return ball_wedge_length(2 * n, 2 * j, i, base)
+    m, f = 2 * n - 2 * j, math.factorial
+    coeff = Fraction(f(n) * f(m), f(n - j) ** 2 * f(m - i))
+    return gamma_half(m - i + 2) * PiScalar(coeff, Fraction(i - 2 * j, 2))
 
 
 def monomial_length_st(n, j, i):

@@ -24,7 +24,7 @@ def ball_length(n):
     """Zonoid length of the unit ball B_n: 2 sqrt(pi) Gamma((n+1)/2) / Gamma(n/2)."""
     if n < 1:
         raise ValueError("n must be positive")
-    return PiScalar(2, Fraction(1, 2)) * gamma_half(n + 1) / gamma_half(n)
+    return ball_wedge_length(n, 0, 1, 1)
 
 
 def ball_wedge_length(N, d, i, ell_z):

@@ -37,7 +37,6 @@ from .exterior import (
     laplace_step,
     wedge_elements,
 )
-from .sphere_ring import ball_wedge_length, kappa
 
 
 class VirtualZonoid:
@@ -298,11 +297,8 @@ def intrinsic_volume(z, d):
         raise ValueError("d out of range")
     if d == 0:
         return 1
-    # binom(n,d)/kappa_{n-d} * MV(z[d], B[n-d]); the ball factor collapses
-    # the constant to an exact rational
-    factor = (ball_wedge_length(n, d, n - d, 1) / kappa(n - d)
-              * math.comb(n, d) / math.factorial(n)).rational()
-    return _wedge_length([z] * d, factor)
+    # binom(n,d)/kappa_{n-d} * MV(z[d], B[n-d]) = length(z^(wedge d))/d!
+    return _wedge_length([z] * d, Fraction(1, math.factorial(d)))
 
 
 def exp_truncated(L, max_degree):

@@ -750,9 +750,13 @@ def executed_modules(argv, cwd):
                           "sampling", "exterior", "exact", "fractions",
                           "decimal"}),
     (("cpn", "relations", "--n", "4"), "cpn_ring",
-     {"schubert", "zonoid", "exterior", "sampling"}),
+     {"schubert", "zonoid", "exterior", "sampling", "sphere_ring"}),
+    (("cpn", "tasaki", "--n", "3", "--mc", "--samples", "100"), "cpn_ring",
+     {"schubert", "zonoid", "sphere_ring"}),
     (("zonoid", "length", "-f", "square.json"), "zonoid",
-     {"cpn_ring", "sampling", "schubert"}),
+     {"cpn_ring", "sampling", "schubert", "sphere_ring"}),
+    (("sphere", "ball-table", "--N", "4"), "sphere_ring",
+     {"cpn_ring", "zonoid", "sampling"}),
     (("schubert", "edeg22", "--samples", "100"), "schubert",
      {"exact", "exterior", "cpn_ring", "zonoid", "fractions", "decimal"}),
     (("schubert", "shape", "--diagrams", "1|2,1", "--samples", "100"),
@@ -762,8 +766,9 @@ def executed_modules(argv, cwd):
      {"exact", "exterior", "cpn_ring", "zonoid", "sampling"}),
     (("schubert", "edeg22", "--samples", "20000", "--workers", "2"),
      "schubert", {"fractions", "decimal", "logging"}),
-], ids=["help", "cpn relations", "zonoid length", "schubert edeg22",
-        "schubert shape", "schubert lr", "schubert edeg22 workers 2"])
+], ids=["help", "cpn relations", "cpn tasaki mc", "zonoid length",
+        "sphere ball-table", "schubert edeg22", "schubert shape",
+        "schubert lr", "schubert edeg22 workers 2"])
 def test_command_runs_only_the_modules_it_calls(tmp_path, argv, called,
                                                 skipped):
     write_inputs(tmp_path)
@@ -810,7 +815,7 @@ def test_tracer_leaves_no_wrapper_on_lazy_modules(tmp_path):
     out = json.loads(proc.stdout)
     assert out["missing"] == []
     assert {"pirings.exact.bareiss_det", "pirings.exterior.bareiss_det",
-            "pirings.zonoid.ball_wedge_length"} <= set(out["during"])
+            "pirings.zonoid.expand"} <= set(out["during"])
     assert out["after"] == []
 
 

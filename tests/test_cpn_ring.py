@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from pirings import cpn_ring as cp, exact
 from pirings.cpn_ring import RingElement
 from pirings.exact import PiScalar, bareiss_det, bareiss_solve
+from pirings.sphere_ring import ball_wedge_length
 
 from calibration import assert_calibrated
 
@@ -31,6 +32,17 @@ class TestDimension:
             for d in range(2 * n + 1):
                 expect = 1 + min(d // 2, (2 * n - d) // 2)
                 assert cp.dimension(n, d) == expect
+
+
+def ball_wedge_monomial_length(n, j, i):
+    """l(gamma^j beta^i) from l(gamma^j) = pi^(-j) n!/(n-j)! and the
+    ball-wedge-length factor of R^(2n): the oracle of the closed form."""
+    if j < 0 or i < 0:
+        raise ValueError("negative exponent")
+    if j > n or 2 * j + i > 2 * n:
+        return PiScalar(0)
+    base = PiScalar(Fraction(math.factorial(n), math.factorial(n - j)), -j)
+    return ball_wedge_length(2 * n, 2 * j, i, base)
 
 
 class TestMonomialLength:
@@ -71,6 +83,27 @@ class TestMonomialLength:
         for i in range(21):
             assert 4 ** i * m == math.comb(2 * i, i)
             m *= Fraction(2 * i + 1, 2 * i + 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closed_form_matches_the_ball_wedge_chain(self, data):
+        n = data.draw(st.integers(0, 60))
+        j = data.draw(st.integers(-2, n + 2))
+        i = data.draw(st.integers(-2, 2 * n + 3))
+        if j < 0 or i < 0:
+            with pytest.raises(ValueError, match="negative exponent"):
+                cp.monomial_length(n, j, i)
+        else:
+            assert (cp.monomial_length(n, j, i).terms
+                    == ball_wedge_monomial_length(n, j, i).terms)
+
+    def test_every_basis_length_matches_the_ball_wedge_chain(self):
+        for n in (3, 17, 40):
+            for d in range(2 * n + 1):
+                for j in cp.j_set(n, d):
+                    assert (cp.monomial_length(n, j, d - 2 * j).terms
+                            == ball_wedge_monomial_length(
+                                n, j, d - 2 * j).terms), (n, j, d)
 
 
 def hankel_matrix(n, d):

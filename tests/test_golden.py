@@ -1,12 +1,15 @@
 """Stdout of the CLI against recorded output.
 
 tests/data/golden_cli.json maps each command line of the exact `cpn` and
-`sphere` commands, of three `schubert lr` tables and of two `schubert
-spans` checks to the stdout it printed when the file was made, byte for
-byte.  The exact coefficient type may change how values are held, but not
-what these commands print.  The span checks (the README example, and
-(3,3,2) at seed 1) pin the ranks and `max_cross_inner` however the ranks
-and inner products are computed.
+`sphere` commands, of three `schubert lr` tables, of two `schubert spans`
+checks and of the `zonoid` commands to the stdout it printed when the file
+was made, byte for byte.  The exact coefficient type may change how values
+are held, but not what these commands print.  The span checks (the README
+example, and (3,3,2) at seed 1) pin the ranks and `max_cross_inner`
+however the ranks and inner products are computed.  The zonoid commands
+read their bodies from tests/data, where they run: the README's square and
+line, seeded rational bodies (`zonoid_*.json`, one per command) and a body
+with float weights and coordinates, whose value is rounded once at the end.
 
 tests/data/golden_estimators.json does the same for the Monte-Carlo
 estimators (`edeg22`, `shape`, `tasaki --mc`, `ball-mc`) at small sample
@@ -37,6 +40,7 @@ ESTIMATORS = json.loads((DATA / "golden_estimators.json").read_text())
 @pytest.mark.parametrize("command", list(GOLDEN))
 def test_stdout_unchanged(capsys, monkeypatch, command):
     monkeypatch.delenv("ZONOID_SEED", raising=False)
+    monkeypatch.chdir(DATA)
     assert main(shlex.split(command)) == 0
     assert capsys.readouterr().out == GOLDEN[command]
 

@@ -11,6 +11,8 @@
   powers of pi is known to that module alone.
 - No module imports from sampling at module level, and only sampling
   imports numpy there: a command loads numpy only when it draws.
+- No module imports sphere_ring at module level: only the `sphere`
+  commands run it.
 - The README's Python examples run and print what their comments say.
 """
 
@@ -118,6 +120,12 @@ def test_only_sampling_loads_numpy_and_only_when_called():
              if name == ".sampling"
              or name.split(".")[0] == "numpy" and stem != "sampling"]
     assert eager == []
+
+
+def test_no_module_imports_sphere_ring():
+    importers = [stem for stem, tree in parsed_modules().items()
+                 if ".sphere_ring" in module_level_imports(tree)]
+    assert importers == []
 
 
 def unread_imports(path):

@@ -38,6 +38,14 @@ class TestBallLength:
             assert sr.ball_length(n) == (
                 PiScalar(n) * sr.kappa(n) / sr.kappa(n - 1))
 
+    def test_matches_the_gamma_ratio(self):
+        # the docstring's Gamma ratio, against the ball wedge length of one
+        # factor that ball_length reads
+        for n in range(1, 200):
+            assert sr.ball_length(n).terms == (
+                PiScalar(2, Fraction(1, 2)) * gamma_half(n + 1)
+                / gamma_half(n)).terms
+
     def test_gamma_recursion(self):
         # Gamma(x+1) = x Gamma(x) at half integers
         for two_k in range(1, 20):

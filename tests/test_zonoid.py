@@ -14,6 +14,7 @@ from pirings import zonoid as zn
 from pirings.exact import int_det
 from pirings.exterior import (ExteriorElement, SimpleVector, expand,
                               hodge_star, wedge_inner, wedge_norm)
+from pirings.sphere_ring import ball_wedge_length, kappa
 
 
 def seg(n, vec, w=1):
@@ -158,7 +159,22 @@ class TestMixedVolume:
                 assert exact == pytest.approx(oracle, rel=1e-10, abs=1e-10)
 
 
+def kappa_ratio_factor(n, d):
+    """binom(n, d) / (kappa_(n-d) n!) times the length of the wedge of
+    n - d balls with a degree-d body of length 1: the constant of V_d as a
+    mixed volume with balls, the oracle of intrinsic_volume's 1/d!."""
+    return (ball_wedge_length(n, d, n - d, 1) / kappa(n - d)
+            * math.comb(n, d) / math.factorial(n)).rational()
+
+
 class TestIntrinsicVolume:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_kappa_ratio_factor_is_one_over_d_factorial(self, nd):
+        n, d = nd
+        assert kappa_ratio_factor(n, d) == Fraction(1, math.factorial(d))
+
     def test_v1_segment(self):
         assert zn.intrinsic_volume(seg(2, (1, 0)), 1) == 1
 
